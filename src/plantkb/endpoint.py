@@ -41,7 +41,6 @@ class DatasetConfig:
     source_path: str
     materialize_on_load: bool = False
     bind_address: str = DEFAULT_BIND
-    read_only: bool = True
 
 
 def resolve_bind(flag: str | None = None) -> tuple[str, int]:

@@ -24,12 +24,14 @@ work on a :meth:`Graph.snapshot`, which is an independent frozen copy.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import FrozenGraphError, MalformedTripleError, UnknownPrefixError
-from .terms import BlankNode, Iri, Literal, PatternSlot, Term, Triple, TriplePattern, Var
+from .terms import BlankNode, Iri, Literal, Term, Triple, TriplePattern, Var
 
 _SPO, _POS, _OSP = "spo", "pos", "osp"
+# where each view keeps the subject, predicate and object of its id-tuples
+_DECODE = {_SPO: (0, 1, 2), _POS: (2, 0, 1), _OSP: (1, 2, 0)}
 
 # Local-part shape that survives a prefixed-name round trip in our Turtle
 # subset; anything else is written as a full <...> IRI.
@@ -200,23 +202,42 @@ class Graph:
 
     def match_with_stats(self, pattern: TriplePattern) -> tuple[list[Triple], MatchStats]:
         """Like :meth:`match`, plus a count of index entries examined."""
+        stats = MatchStats(index_used="none")
+        view, lo, hi = self._index_range(pattern, stats)
+        stats.index_used = view
+        if view == "none":
+            return [], stats
+        if view == "set":
+            stats.entries_visited = 1
+            triples = [Triple(*pattern.slots())] if hi else []  # type: ignore[arg-type]
+        else:
+            entries = self._views[view]
+            # the scan also reads the first entry past the run, if there is one
+            stats.entries_visited += hi - lo + (hi < len(entries))
+            s, p, o = _DECODE[view]
+            triples = [self._decode((row[s], row[p], row[o])) for row in entries[lo:hi]]
+        return self._filter_repeated_vars(pattern, triples), stats
+
+    def _index_range(self, pattern: TriplePattern, stats: MatchStats) -> tuple[str, int, int]:
+        """The view for the pattern's concrete slots and the [lo, hi) run of it
+        holding every triple that agrees with them; lower-bound probes count
+        into ``stats``.
+
+        A term that was never interned gives ("none", 0, 0).  A fully concrete
+        pattern is a membership test: ("set", 0, 1) if present, else ("set", 0, 0).
+        """
         bound: list[int | None] = []
         for slot in pattern.slots():
             if isinstance(slot, (Iri, BlankNode, Literal)):
                 tid = self._lookup(slot)
                 if tid is None:
-                    # Term never interned: nothing can match.
-                    return [], MatchStats(index_used="none")
+                    return "none", 0, 0
                 bound.append(tid)
             else:
                 bound.append(None)
         s, p, o = bound
-
         if s is not None and p is not None and o is not None:
-            stats = MatchStats(index_used="set", entries_visited=1)
-            hit = (s, p, o) in self._triples
-            triples = [self._decode((s, p, o))] if hit else []
-            return self._filter_repeated_vars(pattern, triples), stats
+            return "set", 0, int((s, p, o) in self._triples)
 
         self._refresh_views()
         if s is not None and o is not None:
@@ -232,29 +253,10 @@ class Graph:
         elif o is not None:
             order, prefix = _OSP, (o,)
         else:
-            order, prefix = _SPO, ()
-
-        stats = MatchStats(index_used=order)
+            return _SPO, 0, len(self._views[_SPO])
         entries = self._views[order]
-        if prefix:
-            lo = self._lower_bound(entries, prefix, stats)
-            rows = []
-            k = len(prefix)
-            for i in range(lo, len(entries)):
-                stats.entries_visited += 1
-                if entries[i][:k] != prefix:
-                    break
-                rows.append(entries[i])
-        else:
-            rows = entries
-            stats.entries_visited += len(entries)
-
-        decode_order = {_SPO: (0, 1, 2), _POS: (2, 0, 1), _OSP: (1, 2, 0)}[order]
-        triples = []
-        for row in rows:
-            ids = (row[decode_order[0]], row[decode_order[1]], row[decode_order[2]])
-            triples.append(self._decode(ids))
-        return self._filter_repeated_vars(pattern, triples), stats
+        lo = self._lower_bound(entries, prefix, stats)
+        return order, lo, self._upper_bound(entries, prefix, lo)
 
     @staticmethod
     def _lower_bound(entries: list, prefix: tuple, stats: MatchStats) -> int:
@@ -292,37 +294,7 @@ class Graph:
 
     def count_matching(self, pattern: TriplePattern) -> int:
         """Upper-bound match count by index range width (ignores repeated-var filtering)."""
-        bound = []
-        for slot in pattern.slots():
-            if isinstance(slot, (Iri, BlankNode, Literal)):
-                tid = self._lookup(slot)
-                if tid is None:
-                    return 0
-                bound.append(tid)
-            else:
-                bound.append(None)
-        s, p, o = bound
-        if s is not None and p is not None and o is not None:
-            return 1 if (s, p, o) in self._triples else 0
-        if not any(v is not None for v in bound):
-            return len(self._triples)
-        self._refresh_views()
-        if s is not None and o is not None:
-            order, prefix = _OSP, (o, s)
-        elif s is not None and p is not None:
-            order, prefix = _SPO, (s, p)
-        elif s is not None:
-            order, prefix = _SPO, (s,)
-        elif p is not None and o is not None:
-            order, prefix = _POS, (p, o)
-        elif p is not None:
-            order, prefix = _POS, (p,)
-        else:
-            order, prefix = _OSP, (o,)
-        entries = self._views[order]
-        stats = MatchStats(index_used=order)
-        lo = self._lower_bound(entries, prefix, stats)
-        hi = self._upper_bound(entries, prefix, lo)
+        _, lo, hi = self._index_range(pattern, MatchStats(index_used="none"))
         return hi - lo
 
     @staticmethod

@@ -1,0 +1,316 @@
+"""One lexer for the Turtle and SPARQL subsets, plus the parser plumbing they share.
+
+The lexical grammar is defined once, here.  A single master regular
+expression of named groups scans the token classes both languages share
+(W3C Turtle 1.1 and SPARQL 1.1 Query spell them the same way):
+
+    whitespace and ``#`` comments       skipped
+    IRIREF ``<...>``                    ``\\u``/``\\U`` escapes decoded
+    quoted string ``"..."``/``'...'``   single line; ``\\t \\b \\n \\r \\f \\" \\' \\\\``
+                                        and ``\\u``/``\\U`` escapes decoded
+    prefixed name ``pfx:local``         a trailing ``.`` ends the statement instead
+    blank node label ``_:label``        the shape :class:`~plantkb.terms.BlankNode` accepts
+    integer, decimal                    exponents are an unsupported construct
+    language tag ``@tag``, ``^^``, and the words ``a``, ``true``, ``false``
+
+Each grammar adds a small table: its punctuation, its case-insensitive
+keywords, the constructs it rejects by name, its ``@`` directives, and
+whether ``?var``/``$var`` variables exist.  Tokens carry their start offset
+and no source text; line, column and the text are recovered from the offset
+only when an error is raised.
+
+:class:`TokenParser` is the token cursor and the term builders (IRIs,
+prefixed names, ``PREFIX`` declarations, literals) that both recursive-descent
+parsers stand on.
+"""
+
+from __future__ import annotations
+
+import re
+from dataclasses import dataclass, field
+from urllib.parse import urljoin
+
+from .errors import ParseError, RelativeIriError, UnknownPrefixError, UnsupportedConstructError
+from .graph import PrefixMap
+from .terms import RDF_LANG_STRING, XSD_BOOLEAN, XSD_DECIMAL, XSD_INTEGER, XSD_STRING, Iri, Literal
+
+_UCHAR = r"\\u[0-9A-Fa-f]{4}|\\U00(?:0[0-9A-Fa-f]|10)[0-9A-Fa-f]{4}"
+# The valid body of a quoted token, keyed by its opening character.  A body
+# match stops at the first character that makes the token malformed.
+_BODY = {
+    "<": re.compile(rf'(?:[^ \t\r\n<">\\]|{_UCHAR})*'),
+    '"': re.compile(rf'(?:[^"\\\n]|\\[tbnrf"\'\\]|{_UCHAR})*'),
+    "'": re.compile(rf"(?:[^'\\\n]|\\[tbnrf\"'\\]|{_UCHAR})*"),
+}
+_ESCAPE = re.compile(r"\\(?:u([0-9A-Fa-f]{4})|U([0-9A-Fa-f]{8})|(.))")
+_ESCAPES = {"t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f", '"': '"', "'": "'", "\\": "\\"}
+_LANGTAG = re.compile(r"[A-Za-z]+(?:-[A-Za-z0-9]+)*")
+_ABSOLUTE_IRI = re.compile(r"^[A-Za-z][A-Za-z0-9+.\-]*:")
+
+_SKIP = r"(?:[ \t\r\n]+|#[^\n]*)*"
+# Token classes in the order the master regex tries them.  The order matters:
+# IRIs before SPARQL's '<' operator, numbers before punctuation ('.5'),
+# punctuation before names (a '.' never starts one), error classes last.
+_HEAD = (
+    ("long_string", r'"""|\'\'\''),
+    ("string", r'"(?:[^"\\\n]|\\.)*"|\'(?:[^\'\\\n]|\\.)*\''),
+    ("iriref", r'<[^ \t\r\n<">]*>'),
+    ("langtag", r"@(?:[^\W_]|-)*"),
+    ("dt", r"\^\^"),
+    ("blank", r"_:(?P<label>[A-Za-z0-9_](?:[A-Za-z0-9_.\-]*[A-Za-z0-9_\-])?)?"),
+    ("number", r"(?=[0-9]|[+-][0-9.]|\.[0-9])[+-]?[0-9]*(?P<fraction>\.[0-9]+)?"),
+)
+_VARIABLE = ("var", r"[?$](?P<name>[A-Za-z_][A-Za-z0-9_]*)?")
+_TAIL = (
+    ("word", r"(?P<prefix>[A-Za-z0-9_.\-]*):(?P<local>(?:[A-Za-z0-9_.\-]*[A-Za-z0-9_\-])?)"
+             r"|[A-Za-z0-9_.\-]*[A-Za-z0-9_\-]"),
+    ("malformed", r'[<"\']'),
+    ("other", r"[\s\S]"),
+    ("eof", r"\Z"),
+)
+
+
+@dataclass(slots=True)
+class Token:
+    kind: str
+    value: object
+    start: int  # offset into the source text
+
+
+def position(text: str, offset: int) -> tuple[int, int]:
+    """1-based (line, column) of ``offset`` in ``text``."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
+
+
+def _error(message: str, text: str, offset: int, snippet: str) -> ParseError:
+    return ParseError(message, *position(text, offset), snippet)
+
+
+def _malformed(text: str, start: int) -> ParseError:
+    """Name the first defect of the IRI or string token opening at ``start``."""
+    opener = text[start]
+    p = _BODY[opener].match(text, start + 1).end()
+    ch = text[p:p + 1]
+    what = "IRI reference" if opener == "<" else "string literal"
+    if not ch:
+        return _error(f"unterminated {what}", text, start, text[start:start + 20])
+    if ch == "\\":
+        kind = text[p + 1:p + 2]
+        if kind in ("u", "U"):
+            width = 4 if kind == "u" else 8
+            return _error(f"invalid \\{kind} escape", text, start, text[p + 2:p + 2 + width])
+        if opener == "<":
+            return _error(f"invalid escape \\{kind} in IRI reference", text, p + 1, f"\\{kind}")
+        return _error(f"invalid string escape \\{kind}", text, p, f"\\{kind}")
+    if opener != "<":
+        return _error("newline inside single-line string literal", text, p, "\\n")
+    return _error(f"invalid character {ch!r} in IRI reference", text, p, ch)
+
+
+def _unescape(m: re.Match) -> str:
+    return _ESCAPES[m[3]] if m[3] is not None else chr(int(m[1] or m[2], 16))
+
+
+def _unquote(text: str, start: int, end: int) -> str:
+    body = text[start + 1:end - 1]
+    if "\\" not in body:
+        return body
+    if not _BODY[text[start]].fullmatch(body):
+        raise _malformed(text, start)
+    return _ESCAPE.sub(_unescape, body)
+
+
+@dataclass
+class Lexer:
+    """A scanner for one grammar: the shared token classes plus its own table."""
+
+    punctuation: dict[str, str]  # token text -> kind
+    keywords: dict[str, str] = field(default_factory=dict)  # upper-cased word -> kind
+    unsupported: dict[str, str] = field(default_factory=dict)  # mark or upper-cased word -> construct
+    directives: dict[str, str] = field(default_factory=dict)  # word after '@' -> kind
+    variables: bool = False
+    errors: dict[str, str] = field(default_factory=dict)  # lone character -> message
+
+    def __post_init__(self):
+        marks = [*self.punctuation, *(k for k in self.unsupported if not k.isalpha())]
+        classes = [*_HEAD, *([_VARIABLE] if self.variables else []),
+                   ("punct", "|".join(re.escape(m) for m in sorted(marks, key=len, reverse=True))),
+                   *_TAIL]
+        self._match = re.compile(_SKIP + "(?:" + "|".join(f"(?P<{n}>{rx})" for n, rx in classes) + ")").match
+        self._tag_error = "malformed language tag or directive" if self.directives else "malformed language tag"
+
+    def tokenize(self, text: str) -> list[Token]:
+        """Every token of ``text``, ending with an ``eof`` token; raises ParseError."""
+        tokens: list[Token] = []
+        append = tokens.append
+        pos = 0
+        while True:
+            m = self._match(text, pos)
+            group = m.lastgroup
+            start, pos = m.start(group), m.end()
+            source = m[group]
+            if group == "word":
+                prefix = m["prefix"]
+                if prefix is None:
+                    append(self._word(text, start, source))
+                elif prefix and not prefix[0].isalpha():
+                    raise _error(f"malformed prefix label {prefix!r}", text, start, prefix)
+                else:
+                    append(Token("pname", (prefix, m["local"]), start))
+            elif group == "iriref" or group == "string":
+                append(Token(group, _unquote(text, start, pos), start))
+            elif group == "punct":
+                kind = self.punctuation.get(source)
+                if kind is None:
+                    raise UnsupportedConstructError(self.unsupported[source], *position(text, start), source)
+                append(Token(kind, source, start))
+            elif group == "var":
+                if m["name"] is None:
+                    raise _error("variable name expected after '?'", text, start, source)
+                append(Token("var", m["name"], start))
+            elif group == "number":
+                if text.startswith(("e", "E"), pos):
+                    raise UnsupportedConstructError("numeric literal with exponent",
+                                                    *position(text, start), text[start:pos + 2])
+                if source in ("+", "-"):
+                    raise _error("digits expected in numeric literal", text, start, source)
+                append(Token("decimal" if m["fraction"] else "integer", source, start))
+            elif group == "langtag":
+                word = source[1:]
+                if word in self.directives:
+                    append(Token(self.directives[word], source, start))
+                elif _LANGTAG.fullmatch(word):
+                    append(Token("langtag", word, start))
+                else:
+                    raise _error(f"{self._tag_error} {source}", text, start, source)
+            elif group == "blank":
+                if m["label"] is None:
+                    raise _error("blank node label expected after '_:'", text, start, "_:")
+                append(Token("blank", m["label"], start))
+            elif group == "dt":
+                append(Token("dt", source, start))
+            elif group == "eof":
+                append(Token("eof", None, start))
+                return tokens
+            elif group == "long_string":
+                raise UnsupportedConstructError("triple-quoted string literal", *position(text, start), source)
+            elif group == "malformed":
+                raise _malformed(text, start)
+            else:
+                message = self.errors.get(source, f"unexpected character {source!r}")
+                raise _error(message, text, start, source)
+
+    def _word(self, text: str, start: int, word: str) -> Token:
+        if word == "a":
+            return Token("a", word, start)
+        if word in ("true", "false"):
+            return Token("boolean", word, start)
+        upper = word.upper()
+        if upper in self.unsupported:
+            raise UnsupportedConstructError(self.unsupported[upper], *position(text, start), word)
+        if upper in self.keywords:
+            return Token(self.keywords[upper], upper, start)
+        raise _error(f"unexpected token {word!r}", text, start, word)
+
+    def source(self, text: str, tok: Token) -> str:
+        """The text of a token of ``text``, scanned again from its start."""
+        if tok.kind == "var":
+            return f"?{tok.value}"  # written with '?' even when spelled '$name'
+        return text[tok.start:self._match(text, tok.start).end()]
+
+
+_DATATYPES = {"integer": XSD_INTEGER, "decimal": XSD_DECIMAL, "boolean": XSD_BOOLEAN}
+
+
+class TokenParser:
+    """Token cursor and term builders shared by the Turtle and SPARQL parsers."""
+
+    def __init__(self, lexer: Lexer, text: str, prefixes: PrefixMap, base: Iri | None = None):
+        self.lexer = lexer
+        self.text = text
+        self.tokens = lexer.tokenize(text)
+        self.pos = 0
+        self.prefixes = prefixes
+        self.base = base
+
+    def _peek(self) -> Token:
+        return self.tokens[self.pos]
+
+    def _take(self) -> Token:
+        tok = self.tokens[self.pos]
+        if tok.kind != "eof":
+            self.pos += 1
+        return tok
+
+    def _expect(self, kind: str, what: str, value: object = None) -> Token:
+        tok = self._peek()
+        if tok.kind != kind or (value is not None and tok.value != value):
+            raise self._error(f"expected {what}", tok)
+        return self._take()
+
+    def _position(self, tok: Token) -> tuple[int, int]:
+        return position(self.text, tok.start)
+
+    def _source(self, tok: Token) -> str:
+        return self.lexer.source(self.text, tok)
+
+    def _error(self, message: str, tok: Token, snippet: str | None = None) -> ParseError:
+        return ParseError(message, *self._position(tok), self._source(tok) if snippet is None else snippet)
+
+    def _resolve(self, tok: Token) -> Iri:
+        """The IRI of an IRIREF token, resolved against the base when relative."""
+        raw: str = tok.value  # type: ignore[assignment]
+        if not _ABSOLUTE_IRI.match(raw):
+            if self.base is None:
+                raise RelativeIriError(raw, *self._position(tok))
+            raw = urljoin(self.base.value, raw)
+        try:
+            return Iri(raw)
+        except ValueError as exc:
+            raise self._error(str(exc), tok) from exc
+
+    def _iri_term(self) -> Iri:
+        tok = self._take()
+        if tok.kind == "iriref":
+            return self._resolve(tok)
+        if tok.kind == "pname":
+            prefix, local = tok.value  # type: ignore[misc]
+            ns = self.prefixes.namespace(prefix)
+            if ns is None:
+                raise UnknownPrefixError(prefix, *self._position(tok))
+            return Iri(ns.value + local)
+        raise self._error("IRI expected", tok)
+
+    def _prefix_declaration(self) -> None:
+        self._take()
+        tok = self._expect("pname", "prefix label ending in ':'")
+        prefix, local = tok.value  # type: ignore[misc]
+        if local:
+            raise self._error("prefix declaration label must end with ':'", tok)
+        self.prefixes.bind(prefix, self._resolve(self._expect("iriref", "namespace IRI")))
+
+    def _datatype(self, dt_tok: Token) -> Iri:
+        return self._iri_term()
+
+    def _literal(self) -> Literal:
+        """A number, a boolean, or a quoted string with an optional @lang or ^^datatype."""
+        tok = self._take()
+        datatype = _DATATYPES.get(tok.kind)
+        if datatype is not None:
+            return Literal(tok.value, datatype)  # type: ignore[arg-type]
+        lexical: str = tok.value  # type: ignore[assignment]
+        nxt = self._peek()
+        if nxt.kind == "langtag":
+            self._take()
+            try:
+                return Literal(lexical, RDF_LANG_STRING, nxt.value)  # type: ignore[arg-type]
+            except ValueError as exc:
+                raise self._error(str(exc), nxt) from exc
+        if nxt.kind == "dt":
+            self._take()
+            dt = self._datatype(nxt)
+            try:
+                return Literal(lexical, dt)
+            except ValueError as exc:
+                raise self._error(str(exc), tok) from exc
+        return Literal(lexical, XSD_STRING)

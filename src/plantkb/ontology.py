@@ -16,8 +16,8 @@ from enum import Enum
 from typing import Iterator, NamedTuple
 
 from .errors import SubclassCycleError
-from .reasoner_support import strongly_connected_components
 from .graph import Graph
+from .reasoner import strongly_connected_components
 from .terms import (
     OWL_CLASS,
     OWL_DATATYPE_PROPERTY,

@@ -18,9 +18,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import Hashable, Iterable, Mapping, TypeVar
 
 from .graph import Graph
-from .reasoner_support import strongly_connected_components
 from .terms import (
     OWL_CLASS,
     OWL_DISJOINT_WITH,
@@ -40,6 +40,8 @@ from .terms import (
     TriplePattern,
     term_sort_key,
 )
+
+N = TypeVar("N", bound=Hashable)
 
 
 class RuleId(Enum):
@@ -205,6 +207,68 @@ def materialize(graph: Graph) -> InferenceResult:
     return InferenceResult(
         added=added, iterations=iterations, rule_counts=rule_counts, provenance=provenance
     )
+
+
+def strongly_connected_components(edges: Mapping[N, Iterable[N]]) -> list[set[N]]:
+    """Tarjan's algorithm, iterative so deep chains cannot hit the recursion limit.
+
+    ``edges`` maps a node to its successors; nodes appearing only as
+    successors are included.  Returns every component, singletons included.
+    """
+    succ: dict[N, list[N]] = {}
+    for n, outs in edges.items():
+        succ.setdefault(n, [])
+        for m in outs:
+            succ[n].append(m)
+            succ.setdefault(m, [])
+
+    index: dict[N, int] = {}
+    lowlink: dict[N, int] = {}
+    on_stack: set[N] = set()
+    stack: list[N] = []
+    counter = 0
+    components: list[set[N]] = []
+
+    for start in succ:
+        if start in index:
+            continue
+        # work entries: (node, iterator position into its successor list)
+        work = [(start, 0)]
+        while work:
+            node, i = work[-1]
+            if i == 0:
+                index[node] = lowlink[node] = counter
+                counter += 1
+                stack.append(node)
+                on_stack.add(node)
+            advanced = False
+            outs = succ[node]
+            while i < len(outs):
+                m = outs[i]
+                i += 1
+                if m not in index:
+                    work[-1] = (node, i)
+                    work.append((m, 0))
+                    advanced = True
+                    break
+                if m in on_stack:
+                    lowlink[node] = min(lowlink[node], index[m])
+            if advanced:
+                continue
+            work.pop()
+            if work:
+                parent = work[-1][0]
+                lowlink[parent] = min(lowlink[parent], lowlink[node])
+            if lowlink[node] == index[node]:
+                component = set()
+                while True:
+                    m = stack.pop()
+                    on_stack.discard(m)
+                    component.add(m)
+                    if m == node:
+                        break
+                components.append(component)
+    return components
 
 
 def check_consistency(graph: Graph, inference: InferenceResult | None = None) -> list[Inconsistency]:

@@ -5,7 +5,8 @@ Grammar: PREFIX declarations, SELECT (DISTINCT) with explicit variables or
 {=, !=, <, <=, >, >=, regex}, ORDER BY (ASC/DESC), LIMIT, OFFSET.
 Constructs outside the subset (OPTIONAL, UNION, property paths, aggregates,
 CONSTRUCT/ASK/DESCRIBE, ...) raise UnsupportedConstructError naming the
-construct.
+construct.  The lexical subset (IRIs, strings, escapes, names, numbers) is
+defined once, in :mod:`plantkb.lexer`, and shared with the Turtle parser.
 
 Evaluation is a natural join of the pattern matches, join order picked by
 ascending estimated cardinality (index counts), re-estimated as variables
@@ -26,37 +27,37 @@ import re
 from dataclasses import dataclass, field
 from decimal import Decimal
 
-from .errors import ParseError, RelativeIriError, UnknownPrefixError, UnsupportedConstructError
+from .errors import ParseError
 from .graph import Graph, PrefixMap
+from .lexer import Lexer, Token, TokenParser
 from .terms import (
-    RDF_LANG_STRING,
     RDF_TYPE,
-    XSD_BOOLEAN,
-    XSD_DECIMAL,
-    XSD_INTEGER,
     XSD_STRING,
     BlankNode,
     Iri,
     Literal,
     Term,
-    Triple,
     TriplePattern,
     Var,
 )
 
-_KEYWORDS = {
-    "SELECT", "DISTINCT", "WHERE", "PREFIX", "FILTER", "ORDER", "BY",
-    "ASC", "DESC", "LIMIT", "OFFSET", "REGEX",
-}
-_UNSUPPORTED = {
-    "OPTIONAL", "UNION", "GRAPH", "SERVICE", "MINUS", "BIND", "VALUES",
-    "EXISTS", "CONSTRUCT", "ASK", "DESCRIBE", "INSERT", "DELETE", "GROUP",
-    "HAVING", "BASE", "FROM", "NAMED", "REDUCED", "COUNT", "SUM", "AVG",
-}
-_ABSOLUTE_IRI = re.compile(r"^[A-Za-z][A-Za-z0-9+.\-]*:")
-_WORD = re.compile(r"[A-Za-z0-9_.\-]")
-_ESCAPES = {"t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f", '"': '"', "'": "'", "\\": "\\"}
-
+_LEXER = Lexer(
+    punctuation={
+        "{": "lbrace", "}": "rbrace", "(": "lparen", ")": "rparen", ".": "dot", ",": "comma",
+        ";": "semi", "*": "star", "=": "op", "!=": "op", "<": "op", "<=": "op", ">": "op", ">=": "op",
+    },
+    keywords={k: "kw" for k in (
+        "SELECT", "DISTINCT", "WHERE", "PREFIX", "FILTER", "ORDER", "BY",
+        "ASC", "DESC", "LIMIT", "OFFSET", "REGEX",
+    )},
+    unsupported={w: w for w in (
+        "OPTIONAL", "UNION", "GRAPH", "SERVICE", "MINUS", "BIND", "VALUES",
+        "EXISTS", "CONSTRUCT", "ASK", "DESCRIBE", "INSERT", "DELETE", "GROUP",
+        "HAVING", "BASE", "FROM", "NAMED", "REDUCED", "COUNT", "SUM", "AVG",
+    )},
+    variables=True,
+    errors={"!": "'!' must be part of '!='"},
+)
 _COMPARISON_OPS = {"=", "!=", "<", "<=", ">", ">="}
 
 
@@ -85,265 +86,13 @@ class ResultSet:
     rows: list[dict[str, Term]]
 
 
-@dataclass(slots=True)
-class _Tok:
-    kind: str
-    value: object
-    line: int
-    col: int
-    text: str
-
-
-class _QueryTokenizer:
+class _QueryParser(TokenParser):
     def __init__(self, text: str):
-        self.text = text
-        self.i = 0
-        self.line = 1
-        self.col = 1
-
-    def _advance(self, n: int = 1) -> None:
-        for _ in range(n):
-            if self.i < len(self.text):
-                if self.text[self.i] == "\n":
-                    self.line += 1
-                    self.col = 1
-                else:
-                    self.col += 1
-                self.i += 1
-
-    def _peek(self, off: int = 0) -> str:
-        j = self.i + off
-        return self.text[j] if j < len(self.text) else ""
-
-    def tokens(self) -> list[_Tok]:
-        out = []
-        while True:
-            t = self._next()
-            out.append(t)
-            if t.kind == "eof":
-                return out
-
-    def _next(self) -> _Tok:
-        while self.i < len(self.text):
-            ch = self.text[self.i]
-            if ch in " \t\r\n":
-                self._advance()
-            elif ch == "#":
-                while self.i < len(self.text) and self.text[self.i] != "\n":
-                    self._advance()
-            else:
-                break
-        if self.i >= len(self.text):
-            return _Tok("eof", None, self.line, self.col, "")
-        line, col = self.line, self.col
-        ch = self.text[self.i]
-
-        if ch in "?$":
-            self._advance()
-            start = self.i
-            while self.i < len(self.text) and (self.text[self.i].isalnum() or self.text[self.i] == "_"):
-                self._advance()
-            name = self.text[start:self.i]
-            if not name:
-                raise ParseError("variable name expected after '?'", line, col, ch)
-            return _Tok("var", name, line, col, f"?{name}")
-        if ch == "<" and self._looks_like_iri():
-            return self._iri(line, col)
-        if ch in "\"'":
-            return self._string(line, col)
-        if ch == "@":
-            self._advance()
-            start = self.i
-            while self.i < len(self.text) and (self.text[self.i].isalnum() or self.text[self.i] == "-"):
-                self._advance()
-            tag = self.text[start:self.i]
-            if not re.fullmatch(r"[A-Za-z]+(?:-[A-Za-z0-9]+)*", tag or ""):
-                raise ParseError(f"malformed language tag @{tag}", line, col, f"@{tag}")
-            return _Tok("langtag", tag, line, col, f"@{tag}")
-        if ch == "^" and self._peek(1) == "^":
-            self._advance(2)
-            return _Tok("dt", "^^", line, col, "^^")
-        if ch == "_" and self._peek(1) == ":":
-            self._advance(2)
-            start = self.i
-            while self.i < len(self.text) and _WORD.match(self.text[self.i]):
-                self._advance()
-            label = self.text[start:self.i]
-            if not label:
-                raise ParseError("blank node label expected after '_:'", line, col, "_:")
-            return _Tok("blank", label, line, col, f"_:{label}")
-        if ch.isdigit() or (ch in "+-" and (self._peek(1).isdigit() or self._peek(1) == ".")):
-            return self._number(line, col)
-        if ch == "." and self._peek(1).isdigit():
-            return self._number(line, col)
-        if ch in "{}().,;*":
-            self._advance()
-            kind = {
-                "{": "lbrace", "}": "rbrace", "(": "lparen", ")": "rparen",
-                ".": "dot", ",": "comma", ";": "semi", "*": "star",
-            }[ch]
-            return _Tok(kind, ch, line, col, ch)
-        if ch == "!":
-            if self._peek(1) == "=":
-                self._advance(2)
-                return _Tok("op", "!=", line, col, "!=")
-            raise ParseError("'!' must be part of '!='", line, col, "!")
-        if ch in "<>=":
-            if ch == "=":
-                self._advance()
-                return _Tok("op", "=", line, col, "=")
-            if self._peek(1) == "=":
-                op = ch + "="
-                self._advance(2)
-                return _Tok("op", op, line, col, op)
-            self._advance()
-            return _Tok("op", ch, line, col, ch)
-        if _WORD.match(ch) or ch == ":":
-            return self._word(line, col)
-        raise ParseError(f"unexpected character {ch!r}", line, col, ch)
-
-    def _looks_like_iri(self) -> bool:
-        j = self.i + 1
-        while j < len(self.text):
-            c = self.text[j]
-            if c == ">":
-                return True
-            if c in " \t\r\n<\"":
-                return False
-            j += 1
-        return False
-
-    def _iri(self, line: int, col: int) -> _Tok:
-        start = self.i
-        self._advance()
-        buf = []
-        while True:
-            if self.i >= len(self.text):
-                raise ParseError("unterminated IRI reference", line, col, self.text[start:start + 20])
-            c = self.text[self.i]
-            if c == ">":
-                self._advance()
-                return _Tok("iriref", "".join(buf), line, col, self.text[start:self.i])
-            buf.append(c)
-            self._advance()
-
-    def _string(self, line: int, col: int) -> _Tok:
-        quote = self.text[self.i]
-        if self._peek(1) == quote and self._peek(2) == quote:
-            raise UnsupportedConstructError("triple-quoted string literal", line, col, quote * 3)
-        start = self.i
-        self._advance()
-        buf = []
-        while True:
-            if self.i >= len(self.text):
-                raise ParseError("unterminated string literal", line, col, self.text[start:start + 20])
-            c = self.text[self.i]
-            if c == quote:
-                self._advance()
-                return _Tok("string", "".join(buf), line, col, self.text[start:self.i])
-            if c == "\n":
-                raise ParseError("newline inside string literal", self.line, self.col, "\\n")
-            if c == "\\":
-                nxt = self._peek(1)
-                if nxt in _ESCAPES:
-                    buf.append(_ESCAPES[nxt])
-                    self._advance(2)
-                elif nxt in "uU":
-                    width = 4 if nxt == "u" else 8
-                    digits = self.text[self.i + 2:self.i + 2 + width]
-                    if len(digits) < width or any(d not in "0123456789abcdefABCDEF" for d in digits):
-                        raise ParseError(f"invalid \\{nxt} escape", self.line, self.col, digits)
-                    buf.append(chr(int(digits, 16)))
-                    self._advance(2 + width)
-                else:
-                    raise ParseError(f"invalid string escape \\{nxt}", self.line, self.col, f"\\{nxt}")
-            else:
-                buf.append(c)
-                self._advance()
-
-    def _number(self, line: int, col: int) -> _Tok:
-        start = self.i
-        if self._peek() in "+-":
-            self._advance()
-        while self._peek().isdigit():
-            self._advance()
-        is_decimal = False
-        if self._peek() == "." and self._peek(1).isdigit():
-            is_decimal = True
-            self._advance()
-            while self._peek().isdigit():
-                self._advance()
-        if self._peek() in ("e", "E"):
-            raise UnsupportedConstructError(
-                "numeric literal with exponent", line, col, self.text[start:self.i + 2]
-            )
-        lexical = self.text[start:self.i]
-        return _Tok("decimal" if is_decimal else "integer", lexical, line, col, lexical)
-
-    def _word(self, line: int, col: int) -> _Tok:
-        start = self.i
-        while self.i < len(self.text) and _WORD.match(self.text[self.i]):
-            self._advance()
-        word = self.text[start:self.i]
-        if self._peek() == ":":
-            self._advance()
-            local_start = self.i
-            while self.i < len(self.text) and _WORD.match(self.text[self.i]):
-                self._advance()
-            while self.i > local_start and self.text[self.i - 1] == ".":
-                self.i -= 1
-                self.col -= 1
-            local = self.text[local_start:self.i]
-            return _Tok("pname", (word, local), line, col, self.text[start:self.i])
-        while self.i > start + 1 and self.text[self.i - 1] == ".":
-            self.i -= 1
-            self.col -= 1
-        word = self.text[start:self.i]
-        if word == "a":
-            return _Tok("a", "a", line, col, word)
-        if word in ("true", "false"):
-            return _Tok("boolean", word, line, col, word)
-        upper = word.upper()
-        if upper in _UNSUPPORTED:
-            raise UnsupportedConstructError(upper, line, col, word)
-        if upper in _KEYWORDS:
-            return _Tok("kw", upper, line, col, word)
-        raise ParseError(f"unexpected token {word!r}", line, col, word)
-
-
-class _QueryParser:
-    def __init__(self, tokens: list[_Tok]):
-        self.tokens = tokens
-        self.pos = 0
-        self.prefixes = PrefixMap()
-
-    def _peek(self) -> _Tok:
-        return self.tokens[self.pos]
-
-    def _take(self) -> _Tok:
-        t = self.tokens[self.pos]
-        if t.kind != "eof":
-            self.pos += 1
-        return t
-
-    def _expect(self, kind: str, what: str, value: object = None) -> _Tok:
-        t = self._peek()
-        if t.kind != kind or (value is not None and t.value != value):
-            raise ParseError(f"expected {what}", t.line, t.col, t.text)
-        return self._take()
+        super().__init__(_LEXER, text, PrefixMap())
 
     def parse(self) -> Query:
         while self._peek().kind == "kw" and self._peek().value == "PREFIX":
-            self._take()
-            tok = self._expect("pname", "prefix label ending in ':'")
-            prefix, local = tok.value  # type: ignore[misc]
-            if local:
-                raise ParseError("prefix declaration label must end with ':'", tok.line, tok.col, tok.text)
-            iri_tok = self._expect("iriref", "namespace IRI")
-            raw: str = iri_tok.value  # type: ignore[assignment]
-            if not _ABSOLUTE_IRI.match(raw):
-                raise RelativeIriError(raw, iri_tok.line, iri_tok.col)
-            self.prefixes.bind(prefix, Iri(raw))
+            self._prefix_declaration()
 
         self._expect("kw", "SELECT", "SELECT")
         distinct = False
@@ -360,8 +109,7 @@ class _QueryParser:
             while self._peek().kind == "var":
                 names.append(self._take().value)
             if not names:
-                t = self._peek()
-                raise ParseError("expected projection variables or '*'", t.line, t.col, t.text)
+                raise self._error("expected projection variables or '*'", self._peek())
             select_vars = names  # type: ignore[assignment]
 
         if self._peek().kind == "kw" and self._peek().value == "WHERE":
@@ -376,7 +124,7 @@ class _QueryParser:
                 self._take()
                 break
             if t.kind == "eof":
-                raise ParseError("unclosed WHERE block: expected '}'", t.line, t.col, t.text)
+                raise self._error("unclosed WHERE block: expected '}'", t)
             if t.kind == "kw" and t.value == "FILTER":
                 self._take()
                 filters.append(self._filter())
@@ -402,24 +150,24 @@ class _QueryParser:
                 else:
                     var = self._expect("var", "ORDER BY variable")
                 if order_by is not None:
-                    raise ParseError("ORDER BY given twice", kw.line, kw.col, kw.text)
+                    raise self._error("ORDER BY given twice", kw)
                 order_by = (var.value, direction)
             elif kw.value == "LIMIT":
                 tok = self._expect("integer", "LIMIT count")
                 limit = int(tok.value)  # type: ignore[arg-type]
                 if limit < 0:
-                    raise ParseError("LIMIT must be non-negative", tok.line, tok.col, tok.text)
+                    raise self._error("LIMIT must be non-negative", tok)
             elif kw.value == "OFFSET":
                 tok = self._expect("integer", "OFFSET count")
                 offset = int(tok.value)  # type: ignore[arg-type]
                 if offset < 0:
-                    raise ParseError("OFFSET must be non-negative", tok.line, tok.col, tok.text)
+                    raise self._error("OFFSET must be non-negative", tok)
             else:
-                raise ParseError(f"unexpected keyword {kw.value}", kw.line, kw.col, kw.text)
+                raise self._error(f"unexpected keyword {kw.value}", kw)
 
         t = self._peek()
         if t.kind != "eof":
-            raise ParseError("trailing content after query", t.line, t.col, t.text)
+            raise self._error("trailing content after query", t)
 
         query = Query(
             prefixes=self.prefixes,
@@ -466,52 +214,20 @@ class _QueryParser:
         if t.kind == "var":
             self._take()
             return Var(t.value)  # type: ignore[arg-type]
-        if t.kind == "iriref":
-            self._take()
-            raw: str = t.value  # type: ignore[assignment]
-            if not _ABSOLUTE_IRI.match(raw):
-                raise RelativeIriError(raw, t.line, t.col)
-            return Iri(raw)
-        if t.kind == "pname":
-            self._take()
-            prefix, local = t.value  # type: ignore[misc]
-            ns = self.prefixes.namespace(prefix)
-            if ns is None:
-                raise UnknownPrefixError(prefix, t.line, t.col)
-            return Iri(ns.value + local)
+        if t.kind in ("iriref", "pname"):
+            return self._iri_term()
         if t.kind == "blank":
             self._take()
             return BlankNode(t.value)  # type: ignore[arg-type]
         if allow_literal and t.kind in ("string", "integer", "decimal", "boolean"):
             return self._literal()
-        raise ParseError("triple pattern term expected", t.line, t.col, t.text)
+        raise self._error("triple pattern term expected", t)
 
-    def _literal(self) -> Literal:
-        t = self._take()
-        if t.kind == "integer":
-            return Literal(t.value, XSD_INTEGER)  # type: ignore[arg-type]
-        if t.kind == "decimal":
-            return Literal(t.value, XSD_DECIMAL)  # type: ignore[arg-type]
-        if t.kind == "boolean":
-            return Literal(t.value, XSD_BOOLEAN)  # type: ignore[arg-type]
-        lexical: str = t.value  # type: ignore[assignment]
-        nxt = self._peek()
-        if nxt.kind == "langtag":
-            self._take()
-            try:
-                return Literal(lexical, RDF_LANG_STRING, nxt.value)  # type: ignore[arg-type]
-            except ValueError as exc:
-                raise ParseError(str(exc), nxt.line, nxt.col, nxt.text) from exc
-        if nxt.kind == "dt":
-            self._take()
-            dt_term = self._pattern_term(allow_literal=False)
-            if not isinstance(dt_term, Iri):
-                raise ParseError("datatype must be an IRI", nxt.line, nxt.col, nxt.text)
-            try:
-                return Literal(lexical, dt_term)
-            except ValueError as exc:
-                raise ParseError(str(exc), t.line, t.col, t.text) from exc
-        return Literal(lexical, XSD_STRING)
+    def _datatype(self, dt_tok: Token) -> Iri:
+        dt_term = self._pattern_term(allow_literal=False)
+        if not isinstance(dt_term, Iri):
+            raise self._error("datatype must be an IRI", dt_tok)
+        return dt_term
 
     def _filter(self) -> FilterExpr:
         # FILTER ( ?v op const ) | FILTER regex(?v, "pat") | FILTER ( regex(?v, "pat") )
@@ -524,19 +240,17 @@ class _QueryParser:
             expr = self._regex_filter()
         else:
             if not outer_paren:
-                raise ParseError("expected '(' after FILTER", t.line, t.col, t.text)
+                raise self._error("expected '(' after FILTER", t)
             var = self._expect("var", "FILTER variable")
             op_tok = self._expect("op", "comparison operator")
             if op_tok.value not in _COMPARISON_OPS:
-                raise ParseError(f"unsupported operator {op_tok.value}", op_tok.line, op_tok.col, op_tok.text)
+                raise self._error(f"unsupported operator {op_tok.value}", op_tok)
             const_tok = self._peek()
             if const_tok.kind == "var":
-                raise ParseError(
-                    "FILTER right-hand side must be a constant", const_tok.line, const_tok.col, const_tok.text
-                )
+                raise self._error("FILTER right-hand side must be a constant", const_tok)
             const = self._pattern_term(allow_literal=True)
             if not isinstance(const, (Iri, Literal, BlankNode)):
-                raise ParseError("FILTER constant expected", const_tok.line, const_tok.col, const_tok.text)
+                raise self._error("FILTER constant expected", const_tok)
             expr = FilterExpr(op=op_tok.value, left=var.value, right=const)  # type: ignore[arg-type]
         if outer_paren:
             self._expect("rparen", "')' closing FILTER")
@@ -552,22 +266,17 @@ class _QueryParser:
         pattern: str = pat_tok.value  # type: ignore[assignment]
         try:
             re.compile(pattern)
-        except re.error as exc:
-            raise ParseError(f"invalid regex: {exc}", pat_tok.line, pat_tok.col, pat_tok.text) from exc
+        except (re.error, OverflowError) as exc:
+            raise self._error(f"invalid regex: {exc}", pat_tok) from exc
         return FilterExpr(op="regex", left=var.value, right=pattern)  # type: ignore[arg-type]
 
 
 def parse_query(text: str) -> Query:
     """Parse query text under the subset grammar."""
-    tokens = _QueryTokenizer(text).tokens()
-    return _QueryParser(tokens).parse()
+    return _QueryParser(text).parse()
 
 
 # -- evaluation --------------------------------------------------------------
-
-
-def _pattern_var_names(p: TriplePattern) -> list[str]:
-    return p.variables()
 
 
 def _strip_vars(p: TriplePattern) -> TriplePattern:
@@ -640,12 +349,12 @@ def evaluate(query: Query, graph: Graph) -> ResultSet:
     while remaining and rows:
         def estimate(item: tuple[int, TriplePattern]):
             idx, pat = item
-            unbound = sum(1 for name in _pattern_var_names(pat) if name not in bound)
+            unbound = sum(1 for name in pat.variables() if name not in bound)
             return (unbound, graph.count_matching(_strip_vars(pat)), idx)
 
         remaining.sort(key=estimate)
         idx, pat = remaining.pop(0)
-        names = _pattern_var_names(pat)
+        names = pat.variables()
         new_rows: list[dict[str, Term]] = []
         for row in rows:
             concrete = _substitute(pat, row)
@@ -677,7 +386,7 @@ def evaluate(query: Query, graph: Graph) -> ResultSet:
     if query.select_vars == "*":
         out_vars: list[str] = []
         for p in query.patterns:
-            for name in _pattern_var_names(p):
+            for name in p.variables():
                 if name not in out_vars:
                     out_vars.append(name)
     else:

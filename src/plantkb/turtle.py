@@ -11,6 +11,8 @@ comments.
 Out-of-scope constructs are rejected loudly rather than mis-read: RDF
 collections ``( ... )``, triple-quoted strings, and numeric literals with
 exponents all raise :class:`UnsupportedConstructError` naming the construct.
+The lexical subset (IRIs, strings, escapes, names, numbers) is defined once,
+in :mod:`plantkb.lexer`, and shared with the SPARQL parser.
 
 The writer is deterministic: given equal graphs and prefix maps it emits
 byte-identical documents, and any document it emits parses back to an equal
@@ -21,12 +23,10 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from urllib.parse import urljoin
 
-from .errors import ParseError, RelativeIriError, UnknownPrefixError, UnsupportedConstructError
 from .graph import Graph, PrefixMap
+from .lexer import Lexer, TokenParser
 from .terms import (
-    RDF_LANG_STRING,
     RDF_TYPE,
     XSD_BOOLEAN,
     XSD_DECIMAL,
@@ -40,259 +40,15 @@ from .terms import (
     term_sort_key,
 )
 
-_ABSOLUTE_IRI = re.compile(r"^[A-Za-z][A-Za-z0-9+.\-]*:")
-_WORD_CHAR = re.compile(r"[A-Za-z0-9_.\-]")
-_PNAME_PREFIX = re.compile(r"^(?:[A-Za-z][A-Za-z0-9_.\-]*)?$")
-_LANGTAG = re.compile(r"^[A-Za-z]+(?:-[A-Za-z0-9]+)*$")
 _BARE_INTEGER = re.compile(r"^[+-]?[0-9]+$")
 _BARE_DECIMAL = re.compile(r"^[+-]?[0-9]*\.[0-9]+$")
 
-_ESCAPES = {
-    "t": "\t",
-    "b": "\b",
-    "n": "\n",
-    "r": "\r",
-    "f": "\f",
-    '"': '"',
-    "'": "'",
-    "\\": "\\",
-}
-
-
-@dataclass(slots=True)
-class _Token:
-    kind: str
-    value: object
-    line: int
-    col: int
-    text: str
-
-
-class _Tokenizer:
-    def __init__(self, text: str):
-        self.text = text
-        self.i = 0
-        self.line = 1
-        self.col = 1
-
-    def error(self, message: str, snippet: str = "") -> ParseError:
-        return ParseError(message, self.line, self.col, snippet)
-
-    def _advance(self, n: int = 1) -> None:
-        for _ in range(n):
-            if self.i < len(self.text):
-                if self.text[self.i] == "\n":
-                    self.line += 1
-                    self.col = 1
-                else:
-                    self.col += 1
-                self.i += 1
-
-    def _peek(self, offset: int = 0) -> str:
-        j = self.i + offset
-        return self.text[j] if j < len(self.text) else ""
-
-    def tokens(self) -> list[_Token]:
-        out = []
-        while True:
-            tok = self._next()
-            out.append(tok)
-            if tok.kind == "eof":
-                return out
-
-    def _next(self) -> _Token:
-        while self.i < len(self.text):
-            ch = self.text[self.i]
-            if ch in " \t\r\n":
-                self._advance()
-            elif ch == "#":
-                while self.i < len(self.text) and self.text[self.i] != "\n":
-                    self._advance()
-            else:
-                break
-        if self.i >= len(self.text):
-            return _Token("eof", None, self.line, self.col, "")
-
-        line, col = self.line, self.col
-        ch = self.text[self.i]
-
-        if ch == "(":
-            raise UnsupportedConstructError("RDF collection", line, col, "(")
-        if ch == "<":
-            return self._iri(line, col)
-        if ch in "\"'":
-            return self._string(line, col)
-        if ch == "@":
-            return self._at_word(line, col)
-        if ch == "_" and self._peek(1) == ":":
-            return self._blank(line, col)
-        if ch.isdigit() or (ch in "+-" and (self._peek(1).isdigit() or self._peek(1) == ".")):
-            return self._number(line, col)
-        if ch == "." and self._peek(1).isdigit():
-            return self._number(line, col)
-        if ch == "^" and self._peek(1) == "^":
-            self._advance(2)
-            return _Token("dt", "^^", line, col, "^^")
-        if ch in ".;,[]":
-            self._advance()
-            kind = {".": "dot", ";": "semi", ",": "comma", "[": "lbracket", "]": "rbracket"}[ch]
-            return _Token(kind, ch, line, col, ch)
-        if ch == ")":
-            raise UnsupportedConstructError("RDF collection", line, col, ")")
-        if _WORD_CHAR.match(ch) or ch == ":":
-            return self._word_or_pname(line, col)
-        raise self.error(f"unexpected character {ch!r}", ch)
-
-    def _iri(self, line: int, col: int) -> _Token:
-        start = self.i
-        self._advance()
-        buf = []
-        while True:
-            if self.i >= len(self.text):
-                raise ParseError("unterminated IRI reference", line, col, self.text[start:start + 20])
-            ch = self.text[self.i]
-            if ch == ">":
-                self._advance()
-                return _Token("iriref", "".join(buf), line, col, self.text[start:self.i])
-            if ch == "\\":
-                buf.append(self._uchar(line, col))
-            elif ch in " \t\r\n<\"":
-                raise ParseError(f"invalid character {ch!r} in IRI reference", self.line, self.col, ch)
-            else:
-                buf.append(ch)
-                self._advance()
-
-    def _uchar(self, line: int, col: int) -> str:
-        # caller is positioned at the backslash
-        self._advance()
-        kind = self._peek()
-        if kind == "u":
-            width = 4
-        elif kind == "U":
-            width = 8
-        else:
-            raise ParseError(f"invalid escape \\{kind} in IRI reference", self.line, self.col, f"\\{kind}")
-        self._advance()
-        hexdigits = self.text[self.i:self.i + width]
-        if len(hexdigits) < width or any(c not in "0123456789abcdefABCDEF" for c in hexdigits):
-            raise ParseError(f"invalid \\{kind} escape", line, col, hexdigits)
-        self._advance(width)
-        return chr(int(hexdigits, 16))
-
-    def _string(self, line: int, col: int) -> _Token:
-        quote = self.text[self.i]
-        if self._peek(1) == quote and self._peek(2) == quote:
-            raise UnsupportedConstructError("triple-quoted string literal", line, col, quote * 3)
-        start = self.i
-        self._advance()
-        buf = []
-        while True:
-            if self.i >= len(self.text):
-                raise ParseError("unterminated string literal", line, col, self.text[start:start + 20])
-            ch = self.text[self.i]
-            if ch == quote:
-                self._advance()
-                return _Token("string", "".join(buf), line, col, self.text[start:self.i])
-            if ch == "\n":
-                raise ParseError("newline inside single-line string literal", self.line, self.col, "\\n")
-            if ch == "\\":
-                nxt = self._peek(1)
-                if nxt in _ESCAPES:
-                    buf.append(_ESCAPES[nxt])
-                    self._advance(2)
-                elif nxt in "uU":
-                    buf.append(self._uchar(line, col))
-                else:
-                    raise ParseError(f"invalid string escape \\{nxt}", self.line, self.col, f"\\{nxt}")
-            else:
-                buf.append(ch)
-                self._advance()
-
-    def _at_word(self, line: int, col: int) -> _Token:
-        start = self.i
-        self._advance()
-        word_start = self.i
-        while self.i < len(self.text) and (self.text[self.i].isalnum() or self.text[self.i] == "-"):
-            self._advance()
-        word = self.text[word_start:self.i]
-        if word == "prefix":
-            return _Token("prefix_directive", "@prefix", line, col, "@prefix")
-        if word == "base":
-            return _Token("base_directive", "@base", line, col, "@base")
-        if _LANGTAG.match(word):
-            return _Token("langtag", word, line, col, self.text[start:self.i])
-        raise ParseError(f"malformed language tag or directive @{word}", line, col, f"@{word}")
-
-    def _blank(self, line: int, col: int) -> _Token:
-        start = self.i
-        self._advance(2)
-        label_start = self.i
-        while self.i < len(self.text) and _WORD_CHAR.match(self.text[self.i]):
-            self._advance()
-        # a trailing dot terminates the statement, not the label
-        while self.i > label_start and self.text[self.i - 1] == ".":
-            self.i -= 1
-            self.col -= 1
-        label = self.text[label_start:self.i]
-        if not label:
-            raise ParseError("blank node label expected after '_:'", line, col, "_:")
-        return _Token("blank", label, line, col, self.text[start:self.i])
-
-    def _number(self, line: int, col: int) -> _Token:
-        start = self.i
-        if self._peek() in "+-":
-            self._advance()
-        while self._peek().isdigit():
-            self._advance()
-        is_decimal = False
-        if self._peek() == "." and self._peek(1).isdigit():
-            is_decimal = True
-            self._advance()
-            while self._peek().isdigit():
-                self._advance()
-        if self._peek() in ("e", "E"):
-            raise UnsupportedConstructError(
-                "numeric literal with exponent", line, col, self.text[start:self.i + 2]
-            )
-        lexical = self.text[start:self.i]
-        if not any(c.isdigit() for c in lexical):
-            raise ParseError("digits expected in numeric literal", line, col, lexical)
-        return _Token("decimal" if is_decimal else "integer", lexical, line, col, lexical)
-
-    def _word_or_pname(self, line: int, col: int) -> _Token:
-        start = self.i
-        while self.i < len(self.text) and _WORD_CHAR.match(self.text[self.i]):
-            self._advance()
-        word = self.text[start:self.i]
-        if self._peek() == ":":
-            prefix = word
-            if not _PNAME_PREFIX.match(prefix):
-                raise ParseError(f"malformed prefix label {prefix!r}", line, col, prefix)
-            self._advance()
-            local_start = self.i
-            while self.i < len(self.text) and _WORD_CHAR.match(self.text[self.i]):
-                self._advance()
-            # trailing dots belong to the statement terminator
-            while self.i > local_start and self.text[self.i - 1] == ".":
-                self.i -= 1
-                self.col -= 1
-            local = self.text[local_start:self.i]
-            text = self.text[start:self.i]
-            return _Token("pname", (prefix, local), line, col, text)
-        # trailing dots after a bare word are terminators too
-        while self.i > start + 1 and self.text[self.i - 1] == ".":
-            self.i -= 1
-            self.col -= 1
-        word = self.text[start:self.i]
-        if word == "a":
-            return _Token("a", "a", line, col, word)
-        if word in ("true", "false"):
-            return _Token("boolean", word, line, col, word)
-        if word.lower() == "prefix":
-            return _Token("sparql_prefix", word, line, col, word)
-        if word.lower() == "base":
-            return _Token("sparql_base", word, line, col, word)
-        raise ParseError(f"unexpected token {word!r}", line, col, word)
+_LEXER = Lexer(
+    punctuation={".": "dot", ";": "semi", ",": "comma", "[": "lbracket", "]": "rbracket"},
+    keywords={"PREFIX": "sparql_prefix", "BASE": "sparql_base"},
+    unsupported={"(": "RDF collection", ")": "RDF collection"},
+    directives={"prefix": "prefix_directive", "base": "base_directive"},
+)
 
 
 @dataclass(slots=True)
@@ -307,34 +63,12 @@ class ParseOutcome:
         return self.graph.prefix_map
 
 
-class _Parser:
-    def __init__(self, tokens: list[_Token], base: Iri | None):
-        self.tokens = tokens
-        self.pos = 0
-        self.base = base
+class _Parser(TokenParser):
+    def __init__(self, text: str, base: Iri | None):
         self.graph = Graph()
-        used = {t.value for t in tokens if t.kind == "blank"}
-        self._used_labels: set[str] = set(used)  # type: ignore[arg-type]
+        super().__init__(_LEXER, text, self.graph.prefix_map, base)
+        self._used_labels: set[str] = {t.value for t in self.tokens if t.kind == "blank"}  # type: ignore[misc]
         self._anon_counter = 0
-
-    # -- token plumbing ---------------------------------------------------
-
-    def _peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def _take(self) -> _Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "eof":
-            self.pos += 1
-        return tok
-
-    def _expect(self, kind: str, what: str) -> _Token:
-        tok = self._peek()
-        if tok.kind != kind:
-            raise ParseError(f"expected {what}", tok.line, tok.col, tok.text)
-        return self._take()
-
-    # -- entry --------------------------------------------------------------
 
     def parse(self) -> ParseOutcome:
         while self._peek().kind != "eof":
@@ -352,21 +86,13 @@ class _Parser:
         return ParseOutcome(graph=self.graph, base_iri=self.base)
 
     def _prefix_directive(self, dotted: bool) -> None:
-        self._take()
-        tok = self._expect("pname", "prefix label ending in ':'")
-        prefix, local = tok.value  # type: ignore[misc]
-        if local:
-            raise ParseError("prefix declaration label must end with ':'", tok.line, tok.col, tok.text)
-        ns_tok = self._expect("iriref", "namespace IRI")
-        ns = self._resolve_iri(ns_tok)
-        self.graph.prefix_map.bind(prefix, ns)
+        self._prefix_declaration()
         if dotted:
             self._expect("dot", "'.' after @prefix directive")
 
     def _base_directive(self, dotted: bool) -> None:
         self._take()
-        tok = self._expect("iriref", "base IRI")
-        self.base = self._resolve_iri(tok)
+        self.base = self._resolve(self._expect("iriref", "base IRI"))
         if dotted:
             self._expect("dot", "'.' after @base directive")
 
@@ -390,7 +116,7 @@ class _Parser:
         if tok.kind == "blank":
             self._take()
             return BlankNode(tok.value)  # type: ignore[arg-type]
-        raise ParseError("subject expected (IRI or blank node)", tok.line, tok.col, tok.text)
+        raise self._error("subject expected (IRI or blank node)", tok)
 
     def _predicate_object_list(self, subject: Iri | BlankNode) -> None:
         while True:
@@ -410,7 +136,7 @@ class _Parser:
             return RDF_TYPE
         if tok.kind in ("iriref", "pname"):
             return self._iri_term()
-        raise ParseError("predicate expected (IRI or 'a')", tok.line, tok.col, tok.text)
+        raise self._error("predicate expected (IRI or 'a')", tok)
 
     def _object_list(self, subject: Iri | BlankNode, predicate: Iri) -> None:
         while True:
@@ -429,18 +155,9 @@ class _Parser:
             return BlankNode(tok.value)  # type: ignore[arg-type]
         if tok.kind == "lbracket":
             return self._bnode_property_list()
-        if tok.kind == "string":
-            return self._string_literal()
-        if tok.kind == "integer":
-            self._take()
-            return Literal(tok.value, XSD_INTEGER)  # type: ignore[arg-type]
-        if tok.kind == "decimal":
-            self._take()
-            return Literal(tok.value, XSD_DECIMAL)  # type: ignore[arg-type]
-        if tok.kind == "boolean":
-            self._take()
-            return Literal(tok.value, XSD_BOOLEAN)  # type: ignore[arg-type]
-        raise ParseError("object expected", tok.line, tok.col, tok.text)
+        if tok.kind in ("string", "integer", "decimal", "boolean"):
+            return self._literal()
+        raise self._error("object expected", tok)
 
     def _bnode_property_list(self) -> BlankNode:
         open_tok = self._expect("lbracket", "'['")
@@ -451,8 +168,7 @@ class _Parser:
         self._predicate_object_list(node)
         tok = self._peek()
         if tok.kind != "rbracket":
-            raise ParseError("']' expected to close blank node property list",
-                             open_tok.line, open_tok.col, tok.text)
+            raise self._error("']' expected to close blank node property list", open_tok, self._source(tok))
         self._take()
         return node
 
@@ -464,48 +180,6 @@ class _Parser:
                 self._used_labels.add(label)
                 return BlankNode(label)
 
-    def _string_literal(self) -> Literal:
-        tok = self._take()
-        lexical: str = tok.value  # type: ignore[assignment]
-        nxt = self._peek()
-        if nxt.kind == "langtag":
-            self._take()
-            try:
-                return Literal(lexical, RDF_LANG_STRING, nxt.value)  # type: ignore[arg-type]
-            except ValueError as exc:
-                raise ParseError(str(exc), nxt.line, nxt.col, nxt.text) from exc
-        if nxt.kind == "dt":
-            self._take()
-            dt = self._iri_term()
-            try:
-                return Literal(lexical, dt)
-            except ValueError as exc:
-                raise ParseError(str(exc), tok.line, tok.col, tok.text) from exc
-        return Literal(lexical, XSD_STRING)
-
-    # -- IRI handling -----------------------------------------------------------
-
-    def _iri_term(self) -> Iri:
-        tok = self._take()
-        if tok.kind == "iriref":
-            return self._resolve_iri(tok)
-        if tok.kind == "pname":
-            prefix, local = tok.value  # type: ignore[misc]
-            ns = self.graph.prefix_map.namespace(prefix)
-            if ns is None:
-                raise UnknownPrefixError(prefix, tok.line, tok.col)
-            return Iri(ns.value + local)
-        raise ParseError("IRI expected", tok.line, tok.col, tok.text)
-
-    def _resolve_iri(self, tok: _Token) -> Iri:
-        raw: str = tok.value  # type: ignore[assignment]
-        if _ABSOLUTE_IRI.match(raw):
-            return Iri(raw)
-        if self.base is None:
-            raise RelativeIriError(raw, tok.line, tok.col)
-        return Iri(urljoin(self.base.value, raw))
-
-
 def parse_turtle(text: str, base: Iri | str | None = None) -> ParseOutcome:
     """Parse a Turtle document into a fresh :class:`Graph`.
 
@@ -513,8 +187,7 @@ def parse_turtle(text: str, base: Iri | str | None = None) -> ParseOutcome:
     """
     if isinstance(base, str):
         base = Iri(base)
-    tokens = _Tokenizer(text).tokens()
-    return _Parser(tokens, base).parse()
+    return _Parser(text, base).parse()
 
 
 # -- serialization ------------------------------------------------------------

@@ -144,6 +144,13 @@ def test_query_syntax_error(capsys):
     assert "line 1, column" in capsys.readouterr().err
 
 
+def test_query_malformed_number_exits_2_without_traceback(capsys):
+    assert main(["query", CLEAN, "--query", "SELECT ?x WHERE { ?x ?p ?o } LIMIT +."]) == 2
+    err = capsys.readouterr().err
+    assert "line 1, column 36: digits expected in numeric literal" in err
+    assert "Traceback" not in err
+
+
 def test_query_flags_are_mutually_exclusive(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["query", CLEAN, "--query", "x", "--query-file", "y"])

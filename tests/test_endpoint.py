@@ -2,6 +2,7 @@
 
 import http.client
 import json
+import socket
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -182,6 +183,21 @@ def test_malformed_query_reports_position(server):
     status, _, body = request(server, "GET",
                               "/sparql?query=" + quote("SELECT ?s WHERE { ?s zz:p ?o }"))
     assert status == 400 and b"zz" in body
+
+
+def test_malformed_term_gets_400_not_a_dropped_connection(server):
+    # a blank node label with a trailing dot used to escape the parser as a
+    # ValueError, which closed the connection without a response
+    query = quote("SELECT ?x WHERE { _:b. ?p ?x }")
+    with socket.create_connection(server, timeout=10) as sock:
+        sock.sendall(f"GET /sparql?query={query} HTTP/1.1\r\nHost: test\r\n"
+                     "Connection: close\r\n\r\n".encode("ascii"))
+        reply = b""
+        while chunk := sock.recv(65536):
+            reply += chunk
+    head, _, body = reply.partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 400 ")
+    assert body.startswith(b"line 1, column 22: ")
 
 
 def test_invalid_utf8_body_is_rejected(server):

@@ -290,7 +290,7 @@ def test_defect_fixtures_yield_expected_findings():
 
 def test_sccs_match_reachability_oracle():
     rng = random.Random(77)
-    from plantkb.reasoner_support import strongly_connected_components
+    from plantkb.reasoner import strongly_connected_components
 
     for _ in range(50):
         n = rng.randint(1, 14)

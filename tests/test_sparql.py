@@ -126,6 +126,23 @@ def test_assorted_parse_errors():
             parse_query(text)
 
 
+@pytest.mark.parametrize(
+    "text, line, column",
+    [
+        ("SELECT ?x WHERE { _:b. ?p ?x }", 1, 22),
+        ("SELECT ?x WHERE { ?x ?p +. }", 1, 25),
+        ("SELECT ?x WHERE { ?x ?p ?o } LIMIT +.", 1, 36),
+        ("SELECT ?x WHERE { _:-x ?p ?x }", 1, 19),
+        ("SELECT ?1 WHERE { ?1 ?p ?o }", 1, 8),
+        ('SELECT ?x WHERE { ?x ?p ?o . FILTER regex(?o, "a{4294967296}") }', 1, 47),
+    ],
+)
+def test_malformed_terms_raise_parse_error_at_the_token(text, line, column):
+    with pytest.raises(ParseError) as exc:
+        parse_query(text)
+    assert (exc.value.line, exc.value.column) == (line, column)
+
+
 def test_parse_error_position_is_reported():
     with pytest.raises(ParseError) as exc:
         parse_query("SELECT ?s WHERE { ?s ?p }")

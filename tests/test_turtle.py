@@ -147,6 +147,21 @@ def test_parse_error_carries_position():
     assert "line 1, column" in str(exc.value)
 
 
+@pytest.mark.parametrize(
+    "doc, line, column",
+    [
+        ("_:-x <http://e.test/p> <http://e.test/o> .", 1, 1),
+        ("_:.x <http://e.test/p> <http://e.test/o> .", 1, 1),
+        ("<http://e.test/s> <http://e.test/p>\n  <http://e.test/\\u0020> .", 2, 3),
+        ("<http://e.test/s> <http://e.test/p> <http://e.test/\\UFFFFFFFF> .", 1, 37),
+    ],
+)
+def test_malformed_terms_raise_parse_error_at_the_token(doc, line, column):
+    with pytest.raises(ParseError) as exc:
+        parse_turtle(doc)
+    assert (exc.value.line, exc.value.column) == (line, column)
+
+
 def test_missing_final_dot_is_an_error():
     with pytest.raises(ParseError):
         parse_turtle("<http://e.test/s> <http://e.test/p> <http://e.test/o>")
