@@ -13,16 +13,24 @@ import sys
 from .endpoint import DatasetConfig, resolve_bind, serve
 from .errors import ParseError, SubclassCycleError, UnknownPrefixError
 from .graph import Graph
-from .lint import CheckConfig, Severity, render_json, render_text, run_checks
+from .lint import (
+    ALL_CODES,
+    DEFAULT_CLASS_PATTERN,
+    DEFAULT_PROPERTY_PATTERN,
+    CheckConfig,
+    Severity,
+    render_json,
+    render_text,
+    run_checks,
+)
 from .ontology import to_dot
 from .reasoner import materialize
-from .sparql import evaluate, parse_query, serialize_results
-from .terms import BlankNode, Iri
+from .sparql import _csv_term, evaluate, parse_query, serialize_results
 from .turtle import parse_turtle, serialize_turtle
 
 
 def _load_graph(path: str) -> Graph:
-    """Parse a Turtle file; raises OSError or ParseError for the caller to map."""
+    """Parse a Turtle file; raises OSError or ParseError, which ``main`` maps to 2."""
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
     return parse_turtle(text).graph
@@ -34,16 +42,11 @@ def _fail(message: str, code: int) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    try:
-        graph = _load_graph(args.file)
-    except OSError as exc:
-        return _fail(str(exc), 2)
-    except (ParseError, UnknownPrefixError) as exc:
-        return _fail(str(exc), 2)
+    graph = _load_graph(args.file)
     cfg = CheckConfig(
+        enabled_codes=ALL_CODES - {"MD001"} if args.no_labels_check else ALL_CODES,
         class_name_pattern=args.class_pattern,
         property_name_pattern=args.property_pattern,
-        require_labels=not args.no_labels_check,
     )
     diagnostics = run_checks(graph, cfg)
     if args.format == "json":
@@ -55,41 +58,22 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_infer(args: argparse.Namespace) -> int:
-    try:
-        graph = _load_graph(args.file)
-    except OSError as exc:
-        return _fail(str(exc), 2)
-    except (ParseError, UnknownPrefixError) as exc:
-        return _fail(str(exc), 2)
+    graph = _load_graph(args.file)
     result = materialize(graph)
-    try:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(serialize_turtle(graph))
-    except OSError as exc:
-        return _fail(str(exc), 2)
+    with open(args.out, "w", encoding="utf-8") as fh:
+        fh.write(serialize_turtle(graph))
     print(f"added {len(result.added)} triples in {result.iterations} iterations")
     return 0
 
 
 def cmd_query(args: argparse.Namespace) -> int:
-    try:
-        graph = _load_graph(args.file)
-    except OSError as exc:
-        return _fail(str(exc), 2)
-    except (ParseError, UnknownPrefixError) as exc:
-        return _fail(str(exc), 2)
+    graph = _load_graph(args.file)
     if args.query is not None:
         query_text = args.query
     else:
-        try:
-            with open(args.query_file, encoding="utf-8") as fh:
-                query_text = fh.read()
-        except OSError as exc:
-            return _fail(str(exc), 2)
-    try:
-        query = parse_query(query_text)
-    except (ParseError, UnknownPrefixError) as exc:
-        return _fail(str(exc), 2)
+        with open(args.query_file, encoding="utf-8") as fh:
+            query_text = fh.read()
+    query = parse_query(query_text)
     if args.infer:
         materialize(graph)
     results = evaluate(query, graph)
@@ -103,17 +87,8 @@ def cmd_query(args: argparse.Namespace) -> int:
 
 
 def _render_table(results) -> str:
-    def cell(term) -> str:
-        if term is None:
-            return ""
-        if isinstance(term, Iri):
-            return term.value
-        if isinstance(term, BlankNode):
-            return f"_:{term.label}"
-        return term.lexical
-
     header = list(results.vars)
-    body = [[cell(row.get(v)) for v in header] for row in results.rows]
+    body = [[_csv_term(row[v]) if v in row else "" for v in header] for row in results.rows]
     widths = [
         max([len(header[i])] + [len(r[i]) for r in body]) for i in range(len(header))
     ]
@@ -139,22 +114,13 @@ def cmd_serve(args: argparse.Namespace) -> int:
     )
     try:
         serve(cfg)
-    except OSError as exc:
-        return _fail(str(exc), 2)
-    except (ParseError, UnknownPrefixError) as exc:
-        return _fail(str(exc), 2)
     except KeyboardInterrupt:
         pass
     return 0
 
 
 def cmd_export_dot(args: argparse.Namespace) -> int:
-    try:
-        graph = _load_graph(args.file)
-    except OSError as exc:
-        return _fail(str(exc), 2)
-    except (ParseError, UnknownPrefixError) as exc:
-        return _fail(str(exc), 2)
+    graph = _load_graph(args.file)
     try:
         sys.stdout.write(to_dot(graph, args.mode))
     except SubclassCycleError as exc:
@@ -174,8 +140,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.add_argument("--no-labels-check", action="store_true")
-    p.add_argument("--class-pattern", default=r"^[A-Z][A-Za-z0-9]*$")
-    p.add_argument("--property-pattern", default=r"^[a-z][A-Za-z0-9]*$")
+    p.add_argument("--class-pattern", default=DEFAULT_CLASS_PATTERN)
+    p.add_argument("--property-pattern", default=DEFAULT_PROPERTY_PATTERN)
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("infer", help="materialize inferences to a new Turtle file")
@@ -209,7 +175,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, ParseError, UnknownPrefixError) as exc:
+        return _fail(str(exc), 2)
 
 
 def entry_point() -> None:

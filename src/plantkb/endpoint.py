@@ -153,8 +153,15 @@ class _Handler(BaseHTTPRequestHandler):
         if parts.path != "/sparql":
             self._finish(404, "text/plain; charset=utf-8", b"not found", started)
             return
-        length = int(self.headers.get("Content-Length") or 0)
-        raw = self.rfile.read(length)
+        length = self.headers.get("Content-Length") or "0"
+        if not (length.isascii() and length.isdigit()):
+            # the body's framing is unknown, so the connection cannot be reused
+            # (RFC 9112, section 6.3)
+            self._finish(400, "text/plain; charset=utf-8",
+                         b"Content-Length must be a non-negative integer", started,
+                         extra_headers={"Connection": "close"})
+            return
+        raw = self.rfile.read(int(length))
         content_type = (self.headers.get("Content-Type") or "").split(";")[0].strip().lower()
         try:
             if content_type == "application/x-www-form-urlencoded":

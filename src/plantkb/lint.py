@@ -68,7 +68,6 @@ class CheckConfig:
     enabled_codes: frozenset[str] = ALL_CODES
     class_name_pattern: str = DEFAULT_CLASS_PATTERN
     property_name_pattern: str = DEFAULT_PROPERTY_PATTERN
-    require_labels: bool = True
 
 
 def _is_datatype_iri(iri: Iri) -> bool:
@@ -101,7 +100,7 @@ def run_checks(graph: Graph, cfg: CheckConfig | None = None) -> list[Diagnostic]
                     f"property local name '{p.local_name()}' does not match pattern {cfg.property_name_pattern}",
                 ))
 
-    if "MD001" in enabled and cfg.require_labels:
+    if "MD001" in enabled:
         for c, decl in view.classes.items():
             if decl.label is None:
                 out.append(Diagnostic("MD001", Severity.ERROR, c, "class has no rdfs:label"))

@@ -17,7 +17,7 @@ from typing import Iterator, NamedTuple
 
 from .errors import SubclassCycleError
 from .graph import Graph
-from .reasoner import strongly_connected_components
+from .reasoner import subclass_cycles
 from .terms import (
     OWL_CLASS,
     OWL_DATATYPE_PROPERTY,
@@ -199,23 +199,15 @@ def class_tree(graph: Graph) -> ClassTree:
     Parent links come from asserted rdfs:subClassOf edges whose endpoints are
     declared classes (or owl:Thing); a class with no such parent attaches to
     owl:Thing.  A subclass cycle makes a tree impossible and raises
-    SubclassCycleError listing the cycle's members.
+    SubclassCycleError listing the members of the first cycle that
+    ``reasoner.subclass_cycles`` reports.
     """
     view = extract_ontology(graph)
     nodes = set(view.classes) | {OWL_THING}
-
-    edges: dict[Iri, set[Iri]] = {}
-    for c, decl in view.classes.items():
-        for parent in decl.direct_supers:
-            if parent in nodes and parent != c:
-                edges.setdefault(c, set()).add(parent)
-        if c in decl.direct_supers:
-            # self-loop: a one-member cycle
-            raise SubclassCycleError([c])
-
-    for scc in strongly_connected_components(edges):
-        if len(scc) > 1:
-            raise SubclassCycleError(sorted(scc, key=term_sort_key))
+    edges = {c: decl.direct_supers & nodes for c, decl in view.classes.items()}
+    cycles = subclass_cycles((c, parent) for c, parents in edges.items() for parent in parents)
+    if cycles:
+        raise SubclassCycleError(cycles[0])
 
     children: dict[Iri, list[Iri]] = {}
     for c in view.classes:

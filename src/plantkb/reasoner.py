@@ -9,9 +9,16 @@ re-evaluation; every inferred triple records the rule that first derived it.
 
 Reflexive subclass edges (A subClassOf A) are never materialized.
 
+A sweep reads each predicate's (subject, object) pairs from the store at most
+once and groups them by subject at most once; the rules share those lists,
+so rule 2 (type inheritance) looks a class's superclasses up in the grouping
+rule 1 (subclass transitivity) built.  Besides those reads, only the indexed
+(?, rdf:type, C) lookups of rules 4, 6, 8 and 9 query the store.
+
 Consistency checking reports two defect kinds: an individual typed by both
 halves of an owl:disjointWith pair, and cycles in the asserted subclass
-digraph.
+digraph.  ``subclass_cycles`` is the one cycle finder; ``ontology.class_tree``
+uses it too.
 """
 
 from __future__ import annotations
@@ -77,95 +84,90 @@ class Inconsistency:
 
 
 def _candidates(graph: Graph) -> list[tuple[Triple, RuleId]]:
-    """One full sweep: every triple each rule can derive from the current graph."""
+    """One full sweep: every triple each rule can derive from the current graph.
+
+    Each predicate's (subject, object) pairs are read from the store at most
+    once per sweep, and grouped by subject at most once.
+    """
     out: list[tuple[Triple, RuleId]] = []
+    read: dict[Iri, list[tuple[Term, Term]]] = {}
+    grouped: dict[Iri, dict[Term, list[Term]]] = {}
+
+    def pairs(p: Iri) -> list[tuple[Term, Term]]:
+        if p not in read:
+            read[p] = [(t.subject, t.object) for t in graph.match(TriplePattern(None, p, None))]
+        return read[p]
+
+    def successors(p: Iri) -> dict[Term, list[Term]]:
+        if p not in grouped:
+            by_subject: dict[Term, list[Term]] = {}
+            for s, o in pairs(p):
+                by_subject.setdefault(s, []).append(o)
+            grouped[p] = by_subject
+        return grouped[p]
 
     # 1. A subClassOf B, B subClassOf C => A subClassOf C (never reflexive)
-    sub_edges = graph.match(TriplePattern(None, RDFS_SUBCLASSOF, None))
-    by_subject: dict[Term, list[Term]] = {}
-    for t in sub_edges:
-        by_subject.setdefault(t.subject, []).append(t.object)
-    for t in sub_edges:
-        b = t.object
-        if isinstance(b, Literal):
-            continue
-        for c in by_subject.get(b, ()):
-            if c != t.subject:
-                out.append((Triple(t.subject, RDFS_SUBCLASSOF, c), RuleId.SUBCLASS_TRANS))
+    # Literals are never subjects, so a literal B or A (rule 2) has no supers.
+    supers = successors(RDFS_SUBCLASSOF)
+    for a, b in pairs(RDFS_SUBCLASSOF):
+        for c in supers.get(b, ()):
+            if c != a:
+                out.append((Triple(a, RDFS_SUBCLASSOF, c), RuleId.SUBCLASS_TRANS))
 
     # 2. x type A, A subClassOf B => x type B
-    for t in graph.match(TriplePattern(None, RDF_TYPE, None)):
-        a = t.object
-        if isinstance(a, Literal):
-            continue
-        for st in graph.match(TriplePattern(a, RDFS_SUBCLASSOF, None)):
-            out.append((Triple(t.subject, RDF_TYPE, st.object), RuleId.TYPE_INHERIT))
+    for x, a in pairs(RDF_TYPE):
+        for b in supers.get(a, ()):
+            out.append((Triple(x, RDF_TYPE, b), RuleId.TYPE_INHERIT))
 
     # 3. p domain C, x p y => x type C
-    for dt in graph.match(TriplePattern(None, RDFS_DOMAIN, None)):
-        p = dt.subject
-        if not isinstance(p, Iri):
-            continue
-        for t in graph.match(TriplePattern(None, p, None)):
-            out.append((Triple(t.subject, RDF_TYPE, dt.object), RuleId.DOMAIN_INFER))
+    for p, c in pairs(RDFS_DOMAIN):
+        if isinstance(p, Iri):
+            for x, _ in pairs(p):
+                out.append((Triple(x, RDF_TYPE, c), RuleId.DOMAIN_INFER))
 
     # 4. p range C, x p y => y type C, only when C is a declared class
-    declared = {
-        t.subject for t in graph.match(TriplePattern(None, RDF_TYPE, OWL_CLASS))
-    }
-    for rt in graph.match(TriplePattern(None, RDFS_RANGE, None)):
-        p, c = rt.subject, rt.object
-        if not isinstance(p, Iri) or c not in declared:
-            continue
-        for t in graph.match(TriplePattern(None, p, None)):
-            if not isinstance(t.object, Literal):
-                out.append((Triple(t.object, RDF_TYPE, c), RuleId.RANGE_INFER))
+    classes = [t.subject for t in graph.match(TriplePattern(None, RDF_TYPE, OWL_CLASS))]
+    declared = set(classes)
+    for p, c in pairs(RDFS_RANGE):
+        if isinstance(p, Iri) and c in declared:
+            for _, y in pairs(p):
+                if not isinstance(y, Literal):
+                    out.append((Triple(y, RDF_TYPE, c), RuleId.RANGE_INFER))
 
     # 5. p subPropertyOf q, x p y => x q y
-    for spt in graph.match(TriplePattern(None, RDFS_SUBPROPERTYOF, None)):
-        p, q = spt.subject, spt.object
-        if not isinstance(p, Iri) or not isinstance(q, Iri):
-            continue
-        for t in graph.match(TriplePattern(None, p, None)):
-            out.append((Triple(t.subject, q, t.object), RuleId.SUBPROP_INHERIT))
+    for p, q in pairs(RDFS_SUBPROPERTYOF):
+        if isinstance(p, Iri) and isinstance(q, Iri):
+            for x, y in pairs(p):
+                out.append((Triple(x, q, y), RuleId.SUBPROP_INHERIT))
 
     # 6. p transitive, x p y, y p z => x p z
     for tt in graph.match(TriplePattern(None, RDF_TYPE, OWL_TRANSITIVE_PROPERTY)):
         p = tt.subject
-        if not isinstance(p, Iri):
-            continue
-        uses = graph.match(TriplePattern(None, p, None))
-        next_hop: dict[Term, list[Term]] = {}
-        for t in uses:
-            next_hop.setdefault(t.subject, []).append(t.object)
-        for t in uses:
-            if isinstance(t.object, Literal):
-                continue
-            for z in next_hop.get(t.object, ()):
-                out.append((Triple(t.subject, p, z), RuleId.TRANSITIVE_PROP))
+        if isinstance(p, Iri):
+            next_hop = successors(p)
+            for x, y in pairs(p):
+                for z in next_hop.get(y, ()):
+                    out.append((Triple(x, p, z), RuleId.TRANSITIVE_PROP))
 
     # 7. p inverseOf q, x p y => y q x
-    for it in graph.match(TriplePattern(None, OWL_INVERSE_OF, None)):
-        p, q = it.subject, it.object
-        if not isinstance(p, Iri) or not isinstance(q, Iri):
-            continue
-        for t in graph.match(TriplePattern(None, p, None)):
-            if not isinstance(t.object, Literal):
-                out.append((Triple(t.object, q, t.subject), RuleId.INVERSE_PROP))
+    for p, q in pairs(OWL_INVERSE_OF):
+        if isinstance(p, Iri) and isinstance(q, Iri):
+            for x, y in pairs(p):
+                if not isinstance(y, Literal):
+                    out.append((Triple(y, q, x), RuleId.INVERSE_PROP))
 
     # 8. p symmetric, x p y => y p x
     for st in graph.match(TriplePattern(None, RDF_TYPE, OWL_SYMMETRIC_PROPERTY)):
         p = st.subject
-        if not isinstance(p, Iri):
-            continue
-        for t in graph.match(TriplePattern(None, p, None)):
-            if not isinstance(t.object, Literal):
-                out.append((Triple(t.object, p, t.subject), RuleId.SYMMETRIC_PROP))
+        if isinstance(p, Iri):
+            for x, y in pairs(p):
+                if not isinstance(y, Literal):
+                    out.append((Triple(y, p, x), RuleId.SYMMETRIC_PROP))
 
     # 9. C declared class => C subClassOf owl:Thing
-    for t in graph.match(TriplePattern(None, RDF_TYPE, OWL_CLASS)):
-        if t.subject != OWL_THING:
-            out.append((Triple(t.subject, RDFS_SUBCLASSOF, OWL_THING), RuleId.THING_MEMBERSHIP))
+    for c in classes:
+        if c != OWL_THING:
+            out.append((Triple(c, RDFS_SUBCLASSOF, OWL_THING), RuleId.THING_MEMBERSHIP))
 
     return out
 
@@ -271,32 +273,44 @@ def strongly_connected_components(edges: Mapping[N, Iterable[N]]) -> list[set[N]
     return components
 
 
+def subclass_cycles(edges: Iterable[tuple[Iri, Iri]]) -> list[tuple[Iri, ...]]:
+    """Cycles of the subclass digraph given as (sub, super) edges.
+
+    A cycle is a strongly connected component of two or more classes, or a
+    self-loop on a class outside every such component.  Members of each
+    cycle are sorted, and the cycles are sorted by their members.
+    """
+    succ: dict[Iri, set[Iri]] = {}
+    self_loops: set[Iri] = set()
+    for s, o in edges:
+        if s == o:
+            self_loops.add(s)
+        else:
+            succ.setdefault(s, set()).add(o)
+    cycles = [
+        tuple(sorted(scc, key=term_sort_key))
+        for scc in strongly_connected_components(succ)
+        if len(scc) > 1
+    ]
+    in_cycles = {m for cycle in cycles for m in cycle}
+    cycles.extend((node,) for node in self_loops - in_cycles)
+    cycles.sort(key=lambda cycle: tuple(term_sort_key(m) for m in cycle))
+    return cycles
+
+
 def check_consistency(graph: Graph, inference: InferenceResult | None = None) -> list[Inconsistency]:
     """Report disjointness violations and subclass cycles.
 
-    With ``inference`` given, the graph is taken as already materialized and
-    asserted subclass edges are recovered by subtracting the inferred ones.
+    With ``inference`` given, the graph is taken as already materialized.
     Without it, the graph is treated as asserted input and a working copy is
-    materialized internally.
+    materialized internally.  Either way the asserted subclass edges are the
+    materialized graph's minus the inferred ones.
     """
     if inference is None:
-        asserted = graph
         work = graph.copy()
-        materialize(work)
+        inference = materialize(work)
     else:
-        asserted = None  # recovered below from graph minus inference.added
         work = graph
-
-    if asserted is not None:
-        asserted_sub = [
-            t for t in asserted.match(TriplePattern(None, RDFS_SUBCLASSOF, None))
-        ]
-    else:
-        asserted_sub = [
-            t
-            for t in work.match(TriplePattern(None, RDFS_SUBCLASSOF, None))
-            if t not in inference.added
-        ]
 
     findings: list[Inconsistency] = []
 
@@ -306,46 +320,26 @@ def check_consistency(graph: Graph, inference: InferenceResult | None = None) ->
         a, b = t.subject, t.object
         if isinstance(a, Iri) and isinstance(b, Iri) and a != b:
             pairs.add(tuple(sorted((a, b), key=term_sort_key)))
-    disjoint_hits = []
     for a, b in sorted(pairs, key=lambda p: (term_sort_key(p[0]), term_sort_key(p[1]))):
         in_a = {t.subject for t in work.match(TriplePattern(None, RDF_TYPE, a))}
         in_b = {t.subject for t in work.match(TriplePattern(None, RDF_TYPE, b))}
         for x in sorted(in_a & in_b, key=term_sort_key):
-            disjoint_hits.append(
+            findings.append(
                 Inconsistency(
                     kind=InconsistencyKind.DISJOINTNESS_VIOLATION,
                     members=(a, b),
                     witness=Triple(x, RDF_TYPE, a),
                 )
             )
-    findings.extend(disjoint_hits)
 
     # Cycles in the asserted subclass digraph (IRI endpoints only).
-    edges: dict[Iri, set[Iri]] = {}
-    self_loops = set()
-    for t in asserted_sub:
-        s, o = t.subject, t.object
-        if not isinstance(s, Iri) or not isinstance(o, Iri):
-            continue
-        if s == o:
-            self_loops.add(s)
-        else:
-            edges.setdefault(s, set()).add(o)
-    cycle_findings = []
-    in_multi = set()
-    for scc in strongly_connected_components(edges):
-        if len(scc) > 1:
-            in_multi.update(scc)
-            cycle_findings.append(
-                Inconsistency(
-                    kind=InconsistencyKind.SUBCLASS_CYCLE,
-                    members=tuple(sorted(scc, key=term_sort_key)),
-                )
-            )
-    for node in sorted(self_loops - in_multi, key=term_sort_key):
-        cycle_findings.append(
-            Inconsistency(kind=InconsistencyKind.SUBCLASS_CYCLE, members=(node,))
-        )
-    cycle_findings.sort(key=lambda f: tuple(term_sort_key(m) for m in f.members))
-    findings.extend(cycle_findings)
+    asserted = (
+        (t.subject, t.object)
+        for t in work.match(TriplePattern(None, RDFS_SUBCLASSOF, None))
+        if t not in inference.added and isinstance(t.subject, Iri) and isinstance(t.object, Iri)
+    )
+    findings.extend(
+        Inconsistency(kind=InconsistencyKind.SUBCLASS_CYCLE, members=cycle)
+        for cycle in subclass_cycles(asserted)
+    )
     return findings

@@ -279,11 +279,6 @@ def parse_query(text: str) -> Query:
 # -- evaluation --------------------------------------------------------------
 
 
-def _strip_vars(p: TriplePattern) -> TriplePattern:
-    slots = [None if isinstance(s, Var) else s for s in p.slots()]
-    return TriplePattern(*slots)
-
-
 def _substitute(p: TriplePattern, row: dict[str, Term]) -> TriplePattern:
     slots = []
     for s in p.slots():
@@ -350,7 +345,7 @@ def evaluate(query: Query, graph: Graph) -> ResultSet:
         def estimate(item: tuple[int, TriplePattern]):
             idx, pat = item
             unbound = sum(1 for name in pat.variables() if name not in bound)
-            return (unbound, graph.count_matching(_strip_vars(pat)), idx)
+            return (unbound, graph.count_matching(pat), idx)
 
         remaining.sort(key=estimate)
         idx, pat = remaining.pop(0)
@@ -360,16 +355,10 @@ def evaluate(query: Query, graph: Graph) -> ResultSet:
             concrete = _substitute(pat, row)
             for t in graph.match(concrete):
                 ext = dict(row)
-                values = (t.subject, t.predicate, t.object)
-                ok = True
-                for slot, value in zip(pat.slots(), values):
+                for slot, value in zip(pat.slots(), (t.subject, t.predicate, t.object)):
                     if isinstance(slot, Var):
-                        if slot.name in ext and ext[slot.name] != value:
-                            ok = False
-                            break
                         ext[slot.name] = value
-                if ok:
-                    new_rows.append(ext)
+                new_rows.append(ext)
         rows = new_rows
         bound.update(names)
 

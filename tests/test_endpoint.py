@@ -200,6 +200,24 @@ def test_malformed_term_gets_400_not_a_dropped_connection(server):
     assert body.startswith(b"line 1, column 22: ")
 
 
+@pytest.mark.parametrize("length", ["abc", "-1"])
+def test_malformed_content_length_gets_400(server, length):
+    # "abc" used to raise ValueError and drop the connection without a
+    # response; "-1" used to read until the client hung up
+    with socket.create_connection(server, timeout=10) as sock:
+        sock.sendall(f"POST /sparql HTTP/1.1\r\nHost: test\r\n"
+                     f"Content-Length: {length}\r\n\r\n".encode("ascii"))
+        reply = b""
+        while chunk := sock.recv(65536):
+            reply += chunk
+    head, _, body = reply.partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 400 ")
+    assert b"Content-Type: text/plain; charset=utf-8" in head
+    assert b"Connection: close" in head
+    assert body == b"Content-Length must be a non-negative integer"
+    assert request(server, "GET", "/health")[0] == 200
+
+
 def test_invalid_utf8_body_is_rejected(server):
     status, _, body = request(server, "POST", "/sparql", body=b"\xff\xfe\x00")
     assert (status, body) == (400, b"body is not valid UTF-8")

@@ -159,6 +159,21 @@ def test_class_tree_rejects_cycles():
         class_tree(fixture_graph("cs002"))
 
 
+def test_class_tree_reports_the_first_cycle_in_sorted_order():
+    a, b, z = Iri(EX + "A"), Iri(EX + "B"), Iri(EX + "Z")
+    g = build(
+        Triple(z, RDF_TYPE, OWL_CLASS),
+        Triple(z, RDFS_SUBCLASSOF, z),
+        Triple(b, RDF_TYPE, OWL_CLASS),
+        Triple(a, RDF_TYPE, OWL_CLASS),
+        Triple(b, RDFS_SUBCLASSOF, a),
+        Triple(a, RDFS_SUBCLASSOF, b),
+    )
+    with pytest.raises(SubclassCycleError) as exc:
+        class_tree(g)
+    assert exc.value.members == [a, b]
+
+
 def test_instances_of_direct_vs_inferred():
     c, d, x = Iri(EX + "C"), Iri(EX + "D"), Iri(EX + "x")
     g = build(

@@ -183,6 +183,29 @@ def test_random_graphs_match_closure_oracle():
         assert sum(res.rule_counts.values()) == len(res.added)
 
 
+def test_store_reads_per_sweep_do_not_grow_with_the_data(monkeypatch):
+    calls = []
+    real = Graph.match_with_stats
+
+    def counting(self, pattern):
+        calls.append(pattern)
+        return real(self, pattern)
+
+    monkeypatch.setattr(Graph, "match_with_stats", counting)
+    per_size = []
+    for n in (10, 200):
+        chain = [iri(f"C{i}") for i in range(4)]
+        g = build(*(Triple(c, RDF_TYPE, OWL_CLASS) for c in chain))
+        for sub, sup in zip(chain, chain[1:]):
+            g.insert(Triple(sub, RDFS_SUBCLASSOF, sup))
+        for i in range(n):
+            g.insert(Triple(iri(f"x{i}"), RDF_TYPE, chain[0]))
+        calls.clear()
+        res = materialize(g)
+        per_size.append((len(calls), res.iterations))
+    assert per_size[0] == per_size[1]
+
+
 def test_result_shape():
     res = materialize(build(Triple(iri("a"), RDFS_SUBCLASSOF, iri("b"))))
     assert isinstance(res, InferenceResult)
@@ -274,6 +297,26 @@ def test_cycle_detection_uses_asserted_not_inferred_edges():
     findings = check_consistency(g, inference=res)
     cycles = [f for f in findings if f.kind is InconsistencyKind.SUBCLASS_CYCLE]
     assert len(cycles) == 1 and cycles[0].members == (a, b)
+
+
+def test_both_entry_paths_of_check_consistency_agree():
+    rng = random.Random(303)
+    kinds = set()
+    for _ in range(100):
+        triples = oracles.random_ontology(rng)
+        classes = sorted({t.subject for t in triples if t.object == OWL_CLASS}, key=str)
+        # random_ontology is acyclic and has no disjointness; add both
+        for _ in range(rng.randint(0, 2)):
+            triples.add(Triple(rng.choice(classes), RDFS_SUBCLASSOF, rng.choice(classes)))
+        for _ in range(rng.randint(0, 2)):
+            triples.add(Triple(rng.choice(classes), OWL_DISJOINT_WITH, rng.choice(classes)))
+        g = build(*triples)
+        w = g.copy()
+        expected = check_consistency(g)
+        assert check_consistency(w, inference=materialize(w)) == expected
+        assert g.triples() == triples  # the graph itself is left as asserted
+        kinds.update(f.kind for f in expected)
+    assert kinds == set(InconsistencyKind)
 
 
 def test_clean_fixture_is_consistent():
