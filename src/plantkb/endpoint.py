@@ -11,6 +11,13 @@ The dataset is parsed (and optionally materialized) once at startup into an
 immutable snapshot; request handlers never take locks.  GET and POST of the
 same query produce byte-identical bodies.  The bind address comes from the
 --bind flag, then the PLANTKB_BIND environment variable, then 127.0.0.1:3030.
+
+Each response leaves in one write (status line, headers and body together) on
+a TCP_NODELAY socket, so a keep-alive client never waits out Nagle's algorithm
+against its own delayed ACK.  A POST body whose Content-Length exceeds
+MAX_BODY_BYTES (1 MiB) gets 413 with Connection: close and is never read; the
+connection is then half-closed and what the client still sends is dropped
+for up to LINGER_S, so that the client can read the 413 before the close.
 """
 
 from __future__ import annotations
@@ -18,6 +25,7 @@ from __future__ import annotations
 import json
 import logging
 import os
+import socket
 import time
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -32,6 +40,10 @@ from .turtle import parse_turtle
 
 DEFAULT_BIND = "127.0.0.1:3030"
 BIND_ENV_VAR = "PLANTKB_BIND"
+# a POST /sparql body declared larger than this gets 413 and is never read
+MAX_BODY_BYTES = 1 << 20
+# how long a connection closed with an unread body drops what still arrives
+LINGER_S = 2.0
 
 log = logging.getLogger("plantkb.endpoint")
 
@@ -95,6 +107,8 @@ def _prefers_csv(accept: str | None) -> bool:
 
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
+    # TCP_NODELAY: a small write never waits for the peer's delayed ACK
+    disable_nagle_algorithm = True
     dataset: Graph
     dataset_stats: dict[str, int]
 
@@ -109,10 +123,31 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(body)))
         for name, value in (extra_headers or {}).items():
             self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
+        # status line, headers and body leave in one write (end_headers would
+        # send the head on its own, and the body would then wait under Nagle's
+        # algorithm for the client's delayed ACK)
+        self._headers_buffer.append(b"\r\n" + body)
+        self.flush_headers()
         duration_ms = (time.monotonic() - started) * 1000.0
         log.info("%s %s %d %.1fms", self.command, self.path, status, duration_ms)
+
+    def _linger(self) -> None:
+        """End a response sent without reading the request body.
+
+        Closing a socket with unread bytes resets the connection, and the
+        reset can destroy the response before the client reads it.  So the
+        write side is shut down (the client sees the end of the response) and
+        whatever the client still sends is dropped for at most LINGER_S.
+        """
+        deadline = time.monotonic() + LINGER_S
+        try:
+            self.connection.shutdown(socket.SHUT_WR)
+            while (left := deadline - time.monotonic()) > 0:
+                self.connection.settimeout(left)
+                if not self.connection.recv(65536):
+                    break
+        except OSError:
+            pass
 
     def _run_query(self, query_text: str, started: float) -> None:
         try:
@@ -160,6 +195,13 @@ class _Handler(BaseHTTPRequestHandler):
             self._finish(400, "text/plain; charset=utf-8",
                          b"Content-Length must be a non-negative integer", started,
                          extra_headers={"Connection": "close"})
+            self._linger()
+            return
+        if int(length) > MAX_BODY_BYTES:
+            self._finish(413, "text/plain; charset=utf-8",
+                         f"request body exceeds {MAX_BODY_BYTES} bytes".encode("ascii"), started,
+                         extra_headers={"Connection": "close"})
+            self._linger()
             return
         raw = self.rfile.read(int(length))
         content_type = (self.headers.get("Content-Type") or "").split(";")[0].strip().lower()

@@ -16,22 +16,27 @@ chosen by the pattern's bound-slot signature:
     (-, -, O)          OSP       (o,)
     (-, -, -)          SPO       full scan
 
-The table is fixed, not adaptive.  A graph supports many concurrent readers
-or one exclusive writer; handlers that must never observe mutation should
-work on a :meth:`Graph.snapshot`, which is an independent frozen copy.
+The table is fixed, not adaptive.  One range lookup serves both
+:meth:`Graph.match` (decoded triples) and :meth:`Graph.match_ids` (id-triples,
+for callers that join on ids and decode late).  A graph supports many
+concurrent readers or one exclusive writer; handlers that must never observe
+mutation should work on a :meth:`Graph.snapshot`, which is an independent
+frozen copy.
 """
 
 from __future__ import annotations
 
 import threading
+from bisect import bisect_left
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import FrozenGraphError, MalformedTripleError, UnknownPrefixError
 from .terms import BlankNode, Iri, Literal, Term, Triple, TriplePattern, Var
 
 _SPO, _POS, _OSP = "spo", "pos", "osp"
-# where each view keeps the subject, predicate and object of its id-tuples
-_DECODE = {_SPO: (0, 1, 2), _POS: (2, 0, 1), _OSP: (1, 2, 0)}
+# reorders an id-tuple of the POS or OSP view into (s, p, o)
+_TO_SPO = {_POS: itemgetter(2, 0, 1), _OSP: itemgetter(1, 2, 0)}
 
 # Local-part shape that survives a prefixed-name round trip in our Turtle
 # subset; anything else is written as a full <...> IRI.
@@ -105,6 +110,20 @@ class MatchStats:
     entries_visited: int = 0
 
 
+def _probes(n: int, found: int) -> int:
+    """Probes a binary search over n entries makes to find position ``found``
+    (entry ``mid`` compares below the prefix exactly when ``mid < found``)."""
+    lo, hi, probes = 0, n, 0
+    while lo < hi:
+        mid = (lo + hi) // 2
+        probes += 1
+        if mid < found:
+            lo = mid + 1
+        else:
+            hi = mid
+    return probes
+
+
 class Graph:
     """Deduplicated triple set with SPO/POS/OSP lookup views and a prefix map."""
 
@@ -128,8 +147,13 @@ class Graph:
             self._id_to_term.append(term)
         return tid
 
-    def _lookup(self, term: Term) -> int | None:
+    def term_id(self, term: Term) -> int | None:
+        """The term's id, or None if it was never interned."""
         return self._term_to_id.get(term)
+
+    def term(self, tid: int) -> Term:
+        """The term behind an id from :meth:`term_id` or :meth:`match_ids`."""
+        return self._id_to_term[tid]
 
     def term_count(self) -> int:
         """Distinct terms interned so far (superset of terms in live triples)."""
@@ -166,7 +190,7 @@ class Graph:
         """Remove a triple; True iff it was present."""
         self._check_writable()
         with self._write_lock:
-            ids = tuple(self._lookup(term) for term in (t.subject, t.predicate, t.object))
+            ids = tuple(self.term_id(term) for term in (t.subject, t.predicate, t.object))
             if None in ids or ids not in self._triples:
                 return False
             self._triples.remove(ids)  # type: ignore[arg-type]
@@ -203,40 +227,49 @@ class Graph:
     def match_with_stats(self, pattern: TriplePattern) -> tuple[list[Triple], MatchStats]:
         """Like :meth:`match`, plus a count of index entries examined."""
         stats = MatchStats(index_used="none")
-        view, lo, hi = self._index_range(pattern, stats)
-        stats.index_used = view
-        if view == "none":
+        ids = self._pattern_ids(pattern)
+        if ids is None:
             return [], stats
-        if view == "set":
-            stats.entries_visited = 1
-            triples = [Triple(*pattern.slots())] if hi else []  # type: ignore[arg-type]
-        else:
-            entries = self._views[view]
-            # the scan also reads the first entry past the run, if there is one
-            stats.entries_visited += hi - lo + (hi < len(entries))
-            s, p, o = _DECODE[view]
-            triples = [self._decode((row[s], row[p], row[o])) for row in entries[lo:hi]]
+        triples = [self._decode(t) for t in self.match_ids(*ids, stats=stats)]
         return self._filter_repeated_vars(pattern, triples), stats
 
-    def _index_range(self, pattern: TriplePattern, stats: MatchStats) -> tuple[str, int, int]:
-        """The view for the pattern's concrete slots and the [lo, hi) run of it
-        holding every triple that agrees with them; lower-bound probes count
-        into ``stats``.
+    def match_ids(self, s: int | None, p: int | None, o: int | None,
+                  stats: MatchStats | None = None) -> list[tuple[int, int, int]]:
+        """Id-triples (s, p, o) agreeing with every given id (None matches
+        anything), in index order; the view and entry count go into ``stats``."""
+        view, lo, hi = self._id_range(s, p, o, stats)
+        if view == "set":
+            return [(s, p, o)] if hi else []  # type: ignore[list-item]
+        run = self._views[view][lo:hi]
+        return run if view == _SPO else list(map(_TO_SPO[view], run))
 
-        A term that was never interned gives ("none", 0, 0).  A fully concrete
-        pattern is a membership test: ("set", 0, 1) if present, else ("set", 0, 0).
-        """
-        bound: list[int | None] = []
+    def _pattern_ids(self, pattern: TriplePattern) -> tuple[int | None, int | None, int | None] | None:
+        """The ids of the pattern's concrete slots (None for a variable), or
+        None if one of its terms was never interned."""
+        ids: list[int | None] = []
         for slot in pattern.slots():
             if isinstance(slot, (Iri, BlankNode, Literal)):
-                tid = self._lookup(slot)
+                tid = self._term_to_id.get(slot)
                 if tid is None:
-                    return "none", 0, 0
-                bound.append(tid)
+                    return None
+                ids.append(tid)
             else:
-                bound.append(None)
-        s, p, o = bound
+                ids.append(None)
+        return tuple(ids)  # type: ignore[return-value]
+
+    def _id_range(self, s: int | None, p: int | None, o: int | None,
+                  stats: MatchStats | None = None) -> tuple[str, int, int]:
+        """The view for the given ids and the [lo, hi) run of it holding every
+        triple that agrees with them.
+
+        All three given is a membership test: ("set", 0, 1) if present, else
+        ("set", 0, 0).  With ``stats``, the view and the entries examined
+        (lower-bound probes plus the scan, which also reads the first entry
+        past the run) are recorded.
+        """
         if s is not None and p is not None and o is not None:
+            if stats is not None:
+                stats.index_used, stats.entries_visited = "set", 1
             return "set", 0, int((s, p, o) in self._triples)
 
         self._refresh_views()
@@ -253,24 +286,18 @@ class Graph:
         elif o is not None:
             order, prefix = _OSP, (o,)
         else:
-            return _SPO, 0, len(self._views[_SPO])
+            n = len(self._views[_SPO])
+            if stats is not None:
+                stats.index_used, stats.entries_visited = _SPO, n
+            return _SPO, 0, n
         entries = self._views[order]
-        lo = self._lower_bound(entries, prefix, stats)
-        return order, lo, self._upper_bound(entries, prefix, lo)
-
-    @staticmethod
-    def _lower_bound(entries: list, prefix: tuple, stats: MatchStats) -> int:
-        """Leftmost entry whose leading slots are >= prefix; each probe is a visit."""
-        lo, hi = 0, len(entries)
-        k = len(prefix)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            stats.entries_visited += 1
-            if entries[mid][:k] < prefix:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo
+        lo = bisect_left(entries, prefix)
+        # ids are integers, so the run ends before the prefix's successor
+        hi = bisect_left(entries, prefix[:-1] + (prefix[-1] + 1,), lo)
+        if stats is not None:
+            stats.index_used = order
+            stats.entries_visited = _probes(len(entries), lo) + hi - lo + (hi < len(entries))
+        return order, lo, hi
 
     @staticmethod
     def _filter_repeated_vars(pattern: TriplePattern, triples: list[Triple]) -> list[Triple]:
@@ -294,20 +321,11 @@ class Graph:
 
     def count_matching(self, pattern: TriplePattern) -> int:
         """Upper-bound match count by index range width (ignores repeated-var filtering)."""
-        _, lo, hi = self._index_range(pattern, MatchStats(index_used="none"))
+        ids = self._pattern_ids(pattern)
+        if ids is None:
+            return 0
+        _, lo, hi = self._id_range(*ids)
         return hi - lo
-
-    @staticmethod
-    def _upper_bound(entries: list, prefix: tuple, lo: int) -> int:
-        hi = len(entries)
-        k = len(prefix)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if entries[mid][:k] <= prefix:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo
 
     # -- set-level access -------------------------------------------------------
 
@@ -315,7 +333,7 @@ class Graph:
         return len(self._triples)
 
     def __contains__(self, t: Triple) -> bool:
-        ids = tuple(self._lookup(term) for term in (t.subject, t.predicate, t.object))
+        ids = tuple(self.term_id(term) for term in (t.subject, t.predicate, t.object))
         return None not in ids and ids in self._triples
 
     def __iter__(self):

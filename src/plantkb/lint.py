@@ -154,11 +154,12 @@ def run_checks(graph: Graph, cfg: CheckConfig | None = None) -> list[Diagnostic]
             for t in graph.match(TriplePattern(None, pred, None)):
                 if isinstance(t.object, Iri):
                     used_in_axiom.add(t.object)
-        mentioned_by_individual: set[Iri] = set()
-        for ind in view.individuals:
-            for t in graph.match(TriplePattern(ind, None, None)):
-                if isinstance(t.object, Iri):
-                    mentioned_by_individual.add(t.object)
+        # one pass over the store's id-triples instead of one read per individual
+        individual_ids = {graph.term_id(ind) for ind in view.individuals}
+        object_ids = {o for s, _, o in graph.match_ids(None, None, None) if s in individual_ids}
+        mentioned_by_individual = {
+            term for term in map(graph.term, object_ids) if isinstance(term, Iri)
+        }
         for c in view.classes:
             has_instances = bool(graph.match(TriplePattern(None, RDF_TYPE, c)))
             if (

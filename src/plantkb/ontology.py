@@ -33,6 +33,7 @@ from .terms import (
     RDFS_SUBCLASSOF,
     Iri,
     Literal,
+    Term,
     TriplePattern,
     term_sort_key,
 )
@@ -145,18 +146,19 @@ def extract_ontology(graph: Graph) -> OntologyView:
             inverse_of=inverses[0] if inverses else None,
         )
 
+    # one read of every rdf:type triple, in (type, subject) index order, so
+    # each class's members come in the order a per-class read gives them
+    members: dict[Term, list[Term]] = {}
+    types_of: dict[Term, set[Iri]] = {}
+    for t in graph.match(TriplePattern(None, RDF_TYPE, None)):
+        members.setdefault(t.object, []).append(t.subject)
+        if isinstance(t.object, Iri):
+            types_of.setdefault(t.subject, set()).add(t.object)
     individuals: dict[Iri, Individual] = {}
     for c in classes:
-        for t in graph.match(TriplePattern(None, RDF_TYPE, c)):
-            s = t.subject
-            if not isinstance(s, Iri) or s in individuals:
-                continue
-            types = frozenset(
-                tt.object
-                for tt in graph.match(TriplePattern(s, RDF_TYPE, None))
-                if isinstance(tt.object, Iri)
-            )
-            individuals[s] = Individual(iri=s, asserted_types=types)
+        for s in members.get(c, ()):
+            if isinstance(s, Iri) and s not in individuals:
+                individuals[s] = Individual(iri=s, asserted_types=frozenset(types_of[s]))
 
     return OntologyView(classes=classes, properties=properties, individuals=individuals)
 

@@ -8,12 +8,18 @@ CONSTRUCT/ASK/DESCRIBE, ...) raise UnsupportedConstructError naming the
 construct.  The lexical subset (IRIs, strings, escapes, names, numbers) is
 defined once, in :mod:`plantkb.lexer`, and shared with the Turtle parser.
 
-Evaluation is a natural join of the pattern matches, join order picked by
-ascending estimated cardinality (index counts), re-estimated as variables
-become bound.  Filters run on full rows; ordering sorts full rows under a
-total term order (numeric literals by value, then other literals, then
-IRIs, then blank nodes); projection, DISTINCT, and OFFSET/LIMIT follow in
-that order.
+Evaluation is a natural join of the pattern matches over term ids.  The
+plan is fixed before the first row: patterns are joined greedily, fewest
+unbound variables first, then smallest index count (a count of the
+pattern's constants alone, so it never depends on the rows), then query
+order; each variable gets a row slot and each constant is looked up once.  A
+row is a tuple of ids, and each step reads one id range of the store per
+incoming row.  Each FILTER runs at the step that first binds its variable,
+memoized per term id.  Ordering sorts the rows stably under a total term
+order (numeric literals by value, then other literals, then IRIs, then blank
+nodes), with one key per distinct id; projection, DISTINCT (on the projected
+ids) and OFFSET/LIMIT follow in that order, and only the rows that survive
+are decoded into terms.
 
 Result serialization: W3C SPARQL 1.1 JSON results and RFC-4180 CSV.
 """
@@ -22,10 +28,12 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import re
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from decimal import Decimal
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 
 from .errors import ParseError
 from .graph import Graph, PrefixMap
@@ -279,26 +287,13 @@ def parse_query(text: str) -> Query:
 # -- evaluation --------------------------------------------------------------
 
 
-def _substitute(p: TriplePattern, row: dict[str, Term]) -> TriplePattern:
-    slots = []
-    for s in p.slots():
-        if isinstance(s, Var) and s.name in row:
-            slots.append(row[s.name])
-        else:
-            slots.append(s)
-    return TriplePattern(*slots)
-
-
 def _numeric(term: Term):
     if isinstance(term, Literal):
         return term.numeric_value()
     return None
 
 
-def _passes(f: FilterExpr, row: dict[str, Term]) -> bool:
-    value = row.get(f.left)
-    if value is None:
-        return False
+def _passes(f: FilterExpr, value: Term) -> bool:
     if f.op == "regex":
         if not isinstance(value, Literal):
             return False
@@ -335,43 +330,111 @@ def _order_key(term: Term):
     return (3, term.label, "")
 
 
+def _take(positions: list[int]) -> Callable[[tuple], tuple]:
+    """A function picking the items at ``positions`` out of a tuple, as a tuple."""
+    if not positions:
+        return lambda t: ()
+    if len(positions) == 1:
+        i = positions[0]
+        return lambda t: (t[i],)
+    return itemgetter(*positions)
+
+
+def _filter_check(f: FilterExpr, position: int, term: Callable[[int], Term]):
+    """Test of an id-triple's term at ``position``, memoized per term id."""
+    memo: dict[int, bool] = {}
+
+    def check(t: tuple[int, int, int]) -> bool:
+        tid = t[position]
+        ok = memo.get(tid)
+        if ok is None:
+            ok = memo[tid] = _passes(f, term(tid))
+        return ok
+
+    return check
+
+
+@dataclass(slots=True)
+class _Step:
+    """One pattern of the plan, read once per incoming row."""
+
+    const: list[int | None]  # per position: the constant's id, else None
+    source: list[int]  # per position: the row slot bound earlier, else -1
+    extend: Callable[[tuple], tuple]  # id-triple -> its newly bound ids
+    checks: list[Callable[[tuple], bool]]  # repeated variables, then filters
+
+    def run(self, rows: list[tuple], graph: Graph) -> list[tuple]:
+        match_ids = graph.match_ids
+        extend, checks = self.extend, self.checks
+        cs, cp, co = self.const
+        rs, rp, ro = self.source
+        out: list[tuple] = []
+        for row in rows:
+            found = match_ids(row[rs] if rs >= 0 else cs,
+                              row[rp] if rp >= 0 else cp,
+                              row[ro] if ro >= 0 else co)
+            for t in found:
+                for check in checks:
+                    if not check(t):
+                        break
+                else:
+                    out.append(row + extend(t))
+        return out
+
+
+def _plan(query: Query, graph: Graph) -> tuple[list[_Step], dict[str, int]] | None:
+    """The join steps and each variable's row slot, fixed before the first
+    row; None when no row can survive (a constant the graph never interned,
+    or a filter on a variable that no pattern binds)."""
+    counts = [graph.count_matching(p) for p in query.patterns]
+    names = [p.variables() for p in query.patterns]
+    remaining = list(range(len(query.patterns)))
+    bound: set[str] = set()
+    order = []
+    while remaining:
+        best = min(remaining, key=lambda i: (
+            sum(1 for n in names[i] if n not in bound), counts[i], i))
+        remaining.remove(best)
+        order.append(best)
+        bound.update(names[best])
+    if any(f.left not in bound for f in query.filters):
+        return None
+
+    slots: dict[str, int] = {}
+    steps: list[_Step] = []
+    for i in order:
+        const: list[int | None] = []
+        source: list[int] = []
+        new_positions: list[int] = []
+        checks: list[Callable[[tuple], bool]] = []
+        first_at: dict[str, int] = {}
+        for pos, slot in enumerate(query.patterns[i].slots()):
+            const.append(None)
+            source.append(-1)
+            if isinstance(slot, Var):
+                if slot.name in first_at:
+                    a = first_at[slot.name]
+                    checks.append(lambda t, a=a, b=pos: t[a] == t[b])
+                elif slot.name in slots:
+                    source[pos] = slots[slot.name]
+                else:
+                    first_at[slot.name] = pos
+                    slots[slot.name] = len(slots)
+                    new_positions.append(pos)
+            elif slot is not None:
+                tid = graph.term_id(slot)
+                if tid is None:
+                    return None
+                const[pos] = tid
+        for f in query.filters:
+            if f.left in first_at:
+                checks.append(_filter_check(f, first_at[f.left], graph.term))
+        steps.append(_Step(const, source, _take(new_positions), checks))
+    return steps, slots
+
+
 def evaluate(query: Query, graph: Graph) -> ResultSet:
     """Join, filter, order, project, deduplicate, and slice."""
-    rows: list[dict[str, Term]] = [{}]
-    remaining = list(enumerate(query.patterns))
-    bound: set[str] = set()
-
-    while remaining and rows:
-        def estimate(item: tuple[int, TriplePattern]):
-            idx, pat = item
-            unbound = sum(1 for name in pat.variables() if name not in bound)
-            return (unbound, graph.count_matching(pat), idx)
-
-        remaining.sort(key=estimate)
-        idx, pat = remaining.pop(0)
-        names = pat.variables()
-        new_rows: list[dict[str, Term]] = []
-        for row in rows:
-            concrete = _substitute(pat, row)
-            for t in graph.match(concrete):
-                ext = dict(row)
-                for slot, value in zip(pat.slots(), (t.subject, t.predicate, t.object)):
-                    if isinstance(slot, Var):
-                        ext[slot.name] = value
-                new_rows.append(ext)
-        rows = new_rows
-        bound.update(names)
-
-    for f in query.filters:
-        rows = [r for r in rows if _passes(f, r)]
-
-    if query.order_by is not None:
-        var, direction = query.order_by
-        rows.sort(
-            key=lambda r: _order_key(r[var]) if var in r else (4, "", ""),
-            reverse=(direction == "desc"),
-        )
-
     if query.select_vars == "*":
         out_vars: list[str] = []
         for p in query.patterns:
@@ -381,25 +444,38 @@ def evaluate(query: Query, graph: Graph) -> ResultSet:
     else:
         out_vars = list(query.select_vars)
 
-    projected = [{name: r[name] for name in out_vars if name in r} for r in rows]
+    plan = _plan(query, graph)
+    if plan is None:
+        return ResultSet(vars=out_vars, rows=[])
+    steps, slots = plan
 
+    rows: list[tuple] = [()]
+    for step in steps:
+        rows = step.run(rows, graph)
+        if not rows:
+            break
+
+    term = graph.term
+    if query.order_by is not None and query.order_by[0] in slots:
+        var, direction = query.order_by
+        slot = slots[var]
+        keys = {tid: _order_key(term(tid)) for tid in {row[slot] for row in rows}}
+        rows.sort(key=lambda r: keys[r[slot]], reverse=(direction == "desc"))
+
+    names = [name for name in out_vars if name in slots]
+    rows = list(map(_take([slots[name] for name in names]), rows))
     if query.distinct:
-        seen = set()
-        deduped = []
-        for r in projected:
-            key = tuple((name, r.get(name)) for name in out_vars)
-            if key not in seen:
-                seen.add(key)
-                deduped.append(r)
-        projected = deduped
+        rows = list(dict.fromkeys(rows))
 
     start = query.offset or 0
     if start:
-        projected = projected[start:]
+        rows = rows[start:]
     if query.limit is not None:
-        projected = projected[: query.limit]
+        rows = rows[: query.limit]
 
-    return ResultSet(vars=out_vars, rows=projected)
+    return ResultSet(vars=out_vars, rows=[
+        {name: term(tid) for name, tid in zip(names, row)} for row in rows
+    ])
 
 
 # -- result serialization ----------------------------------------------------
@@ -427,19 +503,38 @@ def _csv_term(term: Term) -> str:
     return term.lexical
 
 
+def _sparql_json(rs: ResultSet) -> str:
+    """The text of ``json.dumps(payload, indent=2)`` for the SPARQL JSON
+    payload, written directly (with ``indent`` set, the json module falls back
+    to its pure-Python encoder); each distinct term is encoded once."""
+    enc = encode_basestring_ascii
+    keys = [(name, enc(name) + ": ") for name in rs.vars]
+    chunks: dict[Term, str] = {}
+    rows = []
+    for row in rs.rows:
+        fields = []
+        for name, key in keys:
+            term = row.get(name)
+            if term is None:
+                continue
+            chunk = chunks.get(term)
+            if chunk is None:
+                members = ",\n          ".join(
+                    f"{enc(k)}: {enc(v)}" for k, v in _json_term(term).items())
+                chunk = chunks[term] = "{\n          " + members + "\n        }"
+            fields.append(key + chunk)
+        rows.append("{\n        " + ",\n        ".join(fields) + "\n      }" if fields else "{}")
+    head = ",\n      ".join(enc(name) for name in rs.vars)
+    vars_text = "[\n      " + head + "\n    ]" if rs.vars else "[]"
+    bindings = "[\n      " + ",\n      ".join(rows) + "\n    ]" if rows else "[]"
+    return ('{\n  "head": {\n    "vars": ' + vars_text + '\n  },\n'
+            '  "results": {\n    "bindings": ' + bindings + "\n  }\n}")
+
+
 def serialize_results(rs: ResultSet, format: str = "sparql-json") -> str:
     """Render a result set as W3C SPARQL JSON or RFC-4180 CSV."""
     if format == "sparql-json":
-        payload = {
-            "head": {"vars": list(rs.vars)},
-            "results": {
-                "bindings": [
-                    {name: _json_term(row[name]) for name in rs.vars if name in row}
-                    for row in rs.rows
-                ]
-            },
-        }
-        return json.dumps(payload, indent=2)
+        return _sparql_json(rs)
     if format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\r\n")

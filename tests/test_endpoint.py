@@ -4,6 +4,7 @@ import http.client
 import json
 import socket
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from urllib.parse import quote, urlencode
@@ -12,6 +13,7 @@ import pytest
 
 import plantkb.fixtures
 from plantkb.endpoint import (
+    MAX_BODY_BYTES,
     DatasetConfig,
     load_dataset,
     make_server,
@@ -218,6 +220,48 @@ def test_malformed_content_length_gets_400(server, length):
     assert request(server, "GET", "/health")[0] == 200
 
 
+def test_oversized_body_gets_413_without_being_read(server):
+    # the body is never sent: a server that tried to read it would block
+    # until the socket timed out
+    with socket.create_connection(server, timeout=10) as sock:
+        started = time.monotonic()
+        sock.sendall(f"POST /sparql HTTP/1.1\r\nHost: test\r\n"
+                     f"Content-Length: {MAX_BODY_BYTES + 1}\r\n\r\n".encode("ascii"))
+        reply = b""
+        while chunk := sock.recv(65536):
+            reply += chunk
+        elapsed = time.monotonic() - started
+    head, _, body = reply.partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 413 ")
+    assert b"Content-Type: text/plain; charset=utf-8" in head
+    assert b"Connection: close" in head
+    assert body == f"request body exceeds {MAX_BODY_BYTES} bytes".encode("ascii")
+    assert elapsed < 2.0
+    assert request(server, "GET", "/health")[0] == 200
+
+
+def test_oversized_body_sent_in_full_still_gets_413(server):
+    # a client that sends the whole body before reading: closing with the
+    # body unread would reset the connection and destroy the response
+    body = b" " * (4 * MAX_BODY_BYTES)
+    with socket.create_connection(server, timeout=10) as sock:
+        sock.sendall(f"POST /sparql HTTP/1.1\r\nHost: test\r\n"
+                     f"Content-Length: {len(body)}\r\n\r\n".encode("ascii") + body)
+        reply = b""
+        while chunk := sock.recv(65536):
+            reply += chunk
+    assert reply.startswith(b"HTTP/1.1 413 ")
+    assert reply.endswith(f"request body exceeds {MAX_BODY_BYTES} bytes".encode("ascii"))
+
+
+def test_body_at_the_size_limit_is_read(server):
+    query = SUBCLASS_QUERY.encode("utf-8")
+    status, _, body = request(server, "POST", "/sparql",
+                              body=query + b" " * (MAX_BODY_BYTES - len(query)))
+    assert status == 200
+    assert body == expected_json_body(SUBCLASS_QUERY)
+
+
 def test_invalid_utf8_body_is_rejected(server):
     status, _, body = request(server, "POST", "/sparql", body=b"\xff\xfe\x00")
     assert (status, body) == (400, b"body is not valid UTF-8")
@@ -246,6 +290,23 @@ def test_connection_keep_alive(server):
             assert resp.status == 200 and resp.read() == b"ok"
     finally:
         conn.close()
+
+
+def test_keep_alive_requests_do_not_stall(server):
+    # headers and body used to go out in two writes, so each request after
+    # the first on a connection waited ~40 ms for the client's delayed ACK
+    host, port = server
+    conn = http.client.HTTPConnection(host, port, timeout=10)
+    try:
+        started = time.monotonic()
+        for _ in range(20):
+            conn.request("GET", "/health")
+            resp = conn.getresponse()
+            assert resp.status == 200 and resp.read() == b"ok"
+        elapsed = time.monotonic() - started
+    finally:
+        conn.close()
+    assert elapsed < 0.4, f"20 keep-alive requests took {elapsed:.3f} s"
 
 
 def test_concurrent_identical_requests(server):

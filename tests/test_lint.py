@@ -15,6 +15,7 @@ from plantkb.lint import (
 )
 from plantkb.terms import (
     OWL_CLASS,
+    OWL_OBJECT_PROPERTY,
     RDF_TYPE,
     RDFS_DOMAIN,
     RDFS_LABEL,
@@ -166,3 +167,29 @@ def test_reports_are_byte_identical_across_runs():
         assert render_json(run_checks(fixture_graph(name))) == render_json(
             run_checks(fixture_graph(name))
         )
+
+
+def test_store_reads_do_not_grow_with_the_individuals(monkeypatch):
+    calls = []
+    real = Graph.match_with_stats
+
+    def counting(self, pattern):
+        calls.append(pattern)
+        return real(self, pattern)
+
+    monkeypatch.setattr(Graph, "match_with_stats", counting)
+    per_size = []
+    for n in (10, 200):
+        classes = [iri(f"C{i}") for i in range(4)]
+        g = build(*(Triple(c, RDF_TYPE, OWL_CLASS) for c in classes))
+        g.insert(Triple(iri("C1"), RDFS_SUBCLASSOF, iri("C0")))
+        g.insert(Triple(iri("knows"), RDF_TYPE, OWL_OBJECT_PROPERTY))
+        for i in range(n):
+            g.insert(Triple(iri(f"x{i}"), RDF_TYPE, iri("C1")))
+            g.insert(Triple(iri(f"x{i}"), iri("knows"), iri("C3")))
+        calls.clear()
+        codes = [d.code for d in run_checks(g) if d.code == "CN003"]
+        per_size.append((len(calls), codes))
+    # C2 is the one orphan: C3 is mentioned by the individuals' assertions
+    assert per_size[0] == per_size[1]
+    assert per_size[0][1] == ["CN003"]

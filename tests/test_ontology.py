@@ -41,6 +41,40 @@ def build(*triples):
     return g
 
 
+def _typed_individuals(n):
+    classes = [Iri(f"{EX}C{i}") for i in range(4)]
+    g = build(*(Triple(c, RDF_TYPE, OWL_CLASS) for c in classes))
+    for sub, sup in zip(classes, classes[1:]):
+        g.insert(Triple(sub, RDFS_SUBCLASSOF, sup))
+    g.insert(Triple(Iri(EX + "knows"), RDF_TYPE, OWL_OBJECT_PROPERTY))
+    for i in range(n):
+        x = Iri(f"{EX}x{i}")
+        g.insert(Triple(x, RDF_TYPE, classes[i % 4]))
+        g.insert(Triple(x, RDF_TYPE, classes[(i + 1) % 4]))
+        g.insert(Triple(x, Iri(EX + "knows"), Iri(f"{EX}x{(i + 1) % n}")))
+    return g
+
+
+def test_store_reads_do_not_grow_with_the_individuals(monkeypatch):
+    calls = []
+    real = Graph.match_with_stats
+
+    def counting(self, pattern):
+        calls.append(pattern)
+        return real(self, pattern)
+
+    monkeypatch.setattr(Graph, "match_with_stats", counting)
+    per_size = []
+    for n in (10, 200):
+        g = _typed_individuals(n)
+        calls.clear()
+        view = extract_ontology(g)
+        per_size.append(len(calls))
+        assert len(view.individuals) == n
+        assert view.individuals[Iri(EX + "x5")].asserted_types == {Iri(EX + "C1"), Iri(EX + "C2")}
+    assert per_size[0] == per_size[1]
+
+
 def test_fixture_view_counts():
     view = extract_ontology(fixture_graph("arabidopsis"))
     assert len(view.classes) == 17
