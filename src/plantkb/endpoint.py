@@ -12,12 +12,10 @@ immutable snapshot; request handlers never take locks.  GET and POST of the
 same query produce byte-identical bodies.  The bind address comes from the
 --bind flag, then the PLANTKB_BIND environment variable, then 127.0.0.1:3030.
 
-Each response leaves in one write (status line, headers and body together) on
-a TCP_NODELAY socket, so a keep-alive client never waits out Nagle's algorithm
-against its own delayed ACK.  A POST body whose Content-Length exceeds
-MAX_BODY_BYTES (1 MiB) gets 413 with Connection: close and is never read; the
-connection is then half-closed and what the client still sends is dropped
-for up to LINGER_S, so that the client can read the 413 before the close.
+A POST body whose Content-Length exceeds MAX_BODY_BYTES (1 MiB) gets 413 with
+Connection: close and is never read; the connection is then half-closed and
+what the client still sends is dropped for up to LINGER_S, so that the client
+can read the 413 before the close.
 """
 
 from __future__ import annotations
@@ -107,8 +105,6 @@ def _prefers_csv(accept: str | None) -> bool:
 
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
-    # TCP_NODELAY: a small write never waits for the peer's delayed ACK
-    disable_nagle_algorithm = True
     dataset: Graph
     dataset_stats: dict[str, int]
 
@@ -123,11 +119,8 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(body)))
         for name, value in (extra_headers or {}).items():
             self.send_header(name, value)
-        # status line, headers and body leave in one write (end_headers would
-        # send the head on its own, and the body would then wait under Nagle's
-        # algorithm for the client's delayed ACK)
-        self._headers_buffer.append(b"\r\n" + body)
-        self.flush_headers()
+        self.end_headers()
+        self.wfile.write(body)
         duration_ms = (time.monotonic() - started) * 1000.0
         log.info("%s %s %d %.1fms", self.command, self.path, status, duration_ms)
 
