@@ -4,16 +4,22 @@ The rule set is the RDFS entailment core plus the OWL property
 characteristics the bundled ontology uses: subclass transitivity, type
 inheritance, domain/range inference, subproperty inheritance, transitive /
 inverse / symmetric properties, and owl:Thing membership for every declared
-class.  Materialization runs the rules to a least fixpoint with plain naive
-re-evaluation; every inferred triple records the rule that first derived it.
+class.  Every inferred triple records the rule that first derived it.
 
 Reflexive subclass edges (A subClassOf A) are never materialized.
 
-A sweep reads each predicate's (subject, object) pairs from the store at most
-once and groups them by subject at most once; the rules share those lists,
-so rule 2 (type inheritance) looks a class's superclasses up in the grouping
-rule 1 (subclass transitivity) built.  Besides those reads, only the indexed
-(?, rdf:type, C) lookups of rules 4, 6, 8 and 9 query the store.
+Materialization is round-based semi-naive evaluation over term ids
+(Bancilhon & Ramakrishnan 1986).  The store is read once, into per-predicate
+tables of (subject id, object id) pairs grouped by subject and by object.
+Each sweep joins only the previous sweep's new triples against those tables,
+then appends its own new triples to them.  A sweep derives exactly the new
+triples a naive sweep over the whole store would, rule by rule, so the
+sweep count and first-rule credit are those of naive re-evaluation.
+
+Every derivation, including one of a triple already present, still goes
+through :meth:`Graph.insert`: that is the store's one checked write path and
+the one place duplicates are removed, so the reasoner never tests a
+derivation against the store itself.
 
 Consistency checking reports two defect kinds: an individual typed by both
 halves of an owl:disjointWith pair, and cycles in the asserted subclass
@@ -83,91 +89,211 @@ class Inconsistency:
     witness: Triple | None = None
 
 
-def _candidates(graph: Graph) -> list[tuple[Triple, RuleId]]:
-    """One full sweep: every triple each rule can derive from the current graph.
+class _Table:
+    """One predicate's (subject id, object id) pairs, grouped by subject and by object."""
 
-    Each predicate's (subject, object) pairs are read from the store at most
-    once per sweep, and grouped by subject at most once.
+    __slots__ = ("succ", "pred")
+
+    def __init__(self) -> None:
+        self.succ: dict[int, list[int]] = {}
+        self.pred: dict[int, list[int]] = {}
+
+    def add(self, s: int, o: int) -> None:
+        self.succ.setdefault(s, []).append(o)
+        self.pred.setdefault(o, []).append(s)
+
+
+_EMPTY = _Table()
+
+
+def _add(tables: dict[int, _Table], triples: Iterable[tuple[int, int, int]]) -> dict[int, _Table]:
+    """Add id-triples to per-predicate tables; returns ``tables``."""
+    for s, p, o in triples:
+        table = tables.get(p)
+        if table is None:
+            table = tables[p] = _Table()
+        table.add(s, o)
+    return tables
+
+
+def _derive(
+    graph: Graph,
+    terms: list[Term],
+    tables: dict[int, _Table],
+    delta: dict[int, _Table],
+    new: set[tuple[int, int, int]],
+) -> list[tuple[Triple, RuleId]]:
+    """One sweep: the triples each rule derives with a premise among ``new``.
+
+    ``tables`` hold every triple derived so far and ``delta`` the ones in
+    ``new``, the previous sweep's additions (on the first sweep, the whole
+    store).  For each premise in turn, a rule joins that premise's delta with
+    full tables for the premises after it and old triples (not in ``new``)
+    for the premises before it, so each instance of a rule's premises is
+    joined once per sweep.  Rules run in RuleId order, which decides
+    first-rule credit.
     """
     out: list[tuple[Triple, RuleId]] = []
-    read: dict[Iri, list[tuple[Term, Term]]] = {}
-    grouped: dict[Iri, dict[Term, list[Term]]] = {}
+    ids = graph.term_id
+    SC, TY, DOM, RNG, SP, INV = (ids(t) for t in (
+        RDFS_SUBCLASSOF, RDF_TYPE, RDFS_DOMAIN, RDFS_RANGE, RDFS_SUBPROPERTYOF, OWL_INVERSE_OF))
+    CLASS, TRANS, SYM, THING = (ids(t) for t in (
+        OWL_CLASS, OWL_TRANSITIVE_PROPERTY, OWL_SYMMETRIC_PROPERTY, OWL_THING))
 
-    def pairs(p: Iri) -> list[tuple[Term, Term]]:
-        if p not in read:
-            read[p] = [(t.subject, t.object) for t in graph.match(TriplePattern(None, p, None))]
-        return read[p]
+    def table(p: int | None) -> _Table:
+        return tables.get(p, _EMPTY)
 
-    def successors(p: Iri) -> dict[Term, list[Term]]:
-        if p not in grouped:
-            by_subject: dict[Term, list[Term]] = {}
-            for s, o in pairs(p):
-                by_subject.setdefault(s, []).append(o)
-            grouped[p] = by_subject
-        return grouped[p]
+    def dtable(p: int | None) -> _Table:
+        return delta.get(p, _EMPTY)
+
+    def not_literal(ys: Iterable[int]) -> list[int]:
+        return [y for y in ys if not isinstance(terms[y], Literal)]
+
+    def iri(q: int) -> bool:
+        return isinstance(terms[q], Iri)
+
+    sc, dsc, ty, dty = table(SC), dtable(SC), table(TY), dtable(TY)
 
     # 1. A subClassOf B, B subClassOf C => A subClassOf C (never reflexive)
-    # Literals are never subjects, so a literal B or A (rule 2) has no supers.
-    supers = successors(RDFS_SUBCLASSOF)
-    for a, b in pairs(RDFS_SUBCLASSOF):
-        for c in supers.get(b, ()):
-            if c != a:
-                out.append((Triple(a, RDFS_SUBCLASSOF, c), RuleId.SUBCLASS_TRANS))
+    rule = RuleId.SUBCLASS_TRANS
+    for a, bs in dsc.succ.items():
+        for b in bs:
+            for c in sc.succ.get(b, ()):
+                if c != a:
+                    out.append((Triple(terms[a], RDFS_SUBCLASSOF, terms[c]), rule))
+    for b, cs in dsc.succ.items():
+        olds = [a for a in sc.pred.get(b, ()) if (a, SC, b) not in new]
+        for c in cs:
+            for a in olds:
+                if c != a:
+                    out.append((Triple(terms[a], RDFS_SUBCLASSOF, terms[c]), rule))
 
     # 2. x type A, A subClassOf B => x type B
-    for x, a in pairs(RDF_TYPE):
-        for b in supers.get(a, ()):
-            out.append((Triple(x, RDF_TYPE, b), RuleId.TYPE_INHERIT))
+    # Literals are never subjects, so a literal A has no supers.
+    rule = RuleId.TYPE_INHERIT
+    for x, as_ in dty.succ.items():
+        for a in as_:
+            for b in sc.succ.get(a, ()):
+                out.append((Triple(terms[x], RDF_TYPE, terms[b]), rule))
+    for a, bs in dsc.succ.items():
+        olds = [x for x in ty.pred.get(a, ()) if (x, TY, a) not in new]
+        for b in bs:
+            for x in olds:
+                out.append((Triple(terms[x], RDF_TYPE, terms[b]), rule))
 
     # 3. p domain C, x p y => x type C
-    for p, c in pairs(RDFS_DOMAIN):
-        if isinstance(p, Iri):
-            for x, _ in pairs(p):
-                out.append((Triple(x, RDF_TYPE, c), RuleId.DOMAIN_INFER))
+    # Only IRIs are predicates, so a non-IRI p has no pairs.
+    rule = RuleId.DOMAIN_INFER
+    dom = table(DOM)
+    for p, cs in dtable(DOM).succ.items():
+        xs = table(p).succ
+        for c in cs:
+            for x in xs:
+                out.append((Triple(terms[x], RDF_TYPE, terms[c]), rule))
+    for p, d in delta.items():
+        for c in dom.succ.get(p, ()):
+            if (p, DOM, c) not in new:
+                for x in d.succ:
+                    out.append((Triple(terms[x], RDF_TYPE, terms[c]), rule))
 
-    # 4. p range C, x p y => y type C, only when C is a declared class
-    classes = [t.subject for t in graph.match(TriplePattern(None, RDF_TYPE, OWL_CLASS))]
-    declared = set(classes)
-    for p, c in pairs(RDFS_RANGE):
-        if isinstance(p, Iri) and c in declared:
-            for _, y in pairs(p):
-                if not isinstance(y, Literal):
-                    out.append((Triple(y, RDF_TYPE, c), RuleId.RANGE_INFER))
+    # 4. p range C, C type owl:Class, x p y => y type C, unless y is a literal
+    rule = RuleId.RANGE_INFER
+    rng = table(RNG)
+    declared = set(ty.pred.get(CLASS, ()))
+    newly_declared = dty.pred.get(CLASS, ())
+    for p, cs in dtable(RNG).succ.items():
+        ys = not_literal(table(p).pred)
+        for c in cs:
+            if c in declared:
+                for y in ys:
+                    out.append((Triple(terms[y], RDF_TYPE, terms[c]), rule))
+    for c in newly_declared:
+        for p in rng.pred.get(c, ()):
+            if (p, RNG, c) not in new:
+                for y in not_literal(table(p).pred):
+                    out.append((Triple(terms[y], RDF_TYPE, terms[c]), rule))
+    for p, d in delta.items():
+        for c in rng.succ.get(p, ()):
+            if (p, RNG, c) not in new and c in declared and (c, TY, CLASS) not in new:
+                for y in not_literal(d.pred):
+                    out.append((Triple(terms[y], RDF_TYPE, terms[c]), rule))
 
     # 5. p subPropertyOf q, x p y => x q y
-    for p, q in pairs(RDFS_SUBPROPERTYOF):
-        if isinstance(p, Iri) and isinstance(q, Iri):
-            for x, y in pairs(p):
-                out.append((Triple(x, q, y), RuleId.SUBPROP_INHERIT))
+    rule = RuleId.SUBPROP_INHERIT
+    sp = table(SP)
+    for p, qs in dtable(SP).succ.items():
+        xys = table(p).succ
+        for q in qs:
+            if iri(q):
+                for x, ys in xys.items():
+                    for y in ys:
+                        out.append((Triple(terms[x], terms[q], terms[y]), rule))
+    for p, d in delta.items():
+        for q in sp.succ.get(p, ()):
+            if iri(q) and (p, SP, q) not in new:
+                for x, ys in d.succ.items():
+                    for y in ys:
+                        out.append((Triple(terms[x], terms[q], terms[y]), rule))
 
     # 6. p transitive, x p y, y p z => x p z
-    for tt in graph.match(TriplePattern(None, RDF_TYPE, OWL_TRANSITIVE_PROPERTY)):
-        p = tt.subject
-        if isinstance(p, Iri):
-            next_hop = successors(p)
-            for x, y in pairs(p):
-                for z in next_hop.get(y, ()):
-                    out.append((Triple(x, p, z), RuleId.TRANSITIVE_PROP))
+    rule = RuleId.TRANSITIVE_PROP
+    for p in dty.pred.get(TRANS, ()):
+        t = table(p)
+        for x, ys in t.succ.items():
+            for y in ys:
+                for z in t.succ.get(y, ()):
+                    out.append((Triple(terms[x], terms[p], terms[z]), rule))
+    for p in ty.pred.get(TRANS, ()):
+        d = delta.get(p)
+        if d is None or (p, TY, TRANS) in new:
+            continue
+        t = table(p)
+        for x, ys in d.succ.items():
+            for y in ys:
+                for z in t.succ.get(y, ()):
+                    out.append((Triple(terms[x], terms[p], terms[z]), rule))
+        for y, zs in d.succ.items():
+            olds = [x for x in t.pred.get(y, ()) if (x, p, y) not in new]
+            for z in zs:
+                for x in olds:
+                    out.append((Triple(terms[x], terms[p], terms[z]), rule))
 
-    # 7. p inverseOf q, x p y => y q x
-    for p, q in pairs(OWL_INVERSE_OF):
-        if isinstance(p, Iri) and isinstance(q, Iri):
-            for x, y in pairs(p):
-                if not isinstance(y, Literal):
-                    out.append((Triple(y, q, x), RuleId.INVERSE_PROP))
+    # 7. p inverseOf q, x p y => y q x, unless y is a literal
+    rule = RuleId.INVERSE_PROP
+    inv = table(INV)
+    for p, qs in dtable(INV).succ.items():
+        xys = table(p).succ
+        for q in qs:
+            if iri(q):
+                for x, ys in xys.items():
+                    for y in not_literal(ys):
+                        out.append((Triple(terms[y], terms[q], terms[x]), rule))
+    for p, d in delta.items():
+        for q in inv.succ.get(p, ()):
+            if iri(q) and (p, INV, q) not in new:
+                for x, ys in d.succ.items():
+                    for y in not_literal(ys):
+                        out.append((Triple(terms[y], terms[q], terms[x]), rule))
 
-    # 8. p symmetric, x p y => y p x
-    for st in graph.match(TriplePattern(None, RDF_TYPE, OWL_SYMMETRIC_PROPERTY)):
-        p = st.subject
-        if isinstance(p, Iri):
-            for x, y in pairs(p):
-                if not isinstance(y, Literal):
-                    out.append((Triple(y, p, x), RuleId.SYMMETRIC_PROP))
+    # 8. p symmetric, x p y => y p x, unless y is a literal
+    rule = RuleId.SYMMETRIC_PROP
+    for p in dty.pred.get(SYM, ()):
+        for x, ys in table(p).succ.items():
+            for y in not_literal(ys):
+                out.append((Triple(terms[y], terms[p], terms[x]), rule))
+    for p in ty.pred.get(SYM, ()):
+        d = delta.get(p)
+        if d is None or (p, TY, SYM) in new:
+            continue
+        for x, ys in d.succ.items():
+            for y in not_literal(ys):
+                out.append((Triple(terms[y], terms[p], terms[x]), rule))
 
-    # 9. C declared class => C subClassOf owl:Thing
-    for c in classes:
-        if c != OWL_THING:
-            out.append((Triple(c, RDFS_SUBCLASSOF, OWL_THING), RuleId.THING_MEMBERSHIP))
+    # 9. C type owl:Class => C subClassOf owl:Thing
+    rule = RuleId.THING_MEMBERSHIP
+    for c in newly_declared:
+        if c != THING:
+            out.append((Triple(terms[c], RDFS_SUBCLASSOF, OWL_THING), rule))
 
     return out
 
@@ -180,12 +306,12 @@ def materialize(graph: Graph) -> InferenceResult:
     count is capped at max(1, distinct-input-terms squared); exceeding the
     cap is a defect and raises RuntimeError.
     """
-    input_terms = set()
-    for t in graph:
-        input_terms.update((t.subject, t.predicate, t.object))
-    cap = max(1, len(input_terms) ** 2)
+    stored = graph.match_ids(None, None, None)
+    cap = max(1, len({tid for ids in stored for tid in ids}) ** 2)
 
-    added: set[Triple] = set()
+    terms = [graph.term(i) for i in range(graph.term_count())]
+    tables = delta = _add({}, stored)
+    new = set(stored)
     provenance: dict[Triple, RuleId] = {}
     iterations = 0
     while True:
@@ -194,20 +320,24 @@ def materialize(graph: Graph) -> InferenceResult:
             raise RuntimeError(
                 f"materialization exceeded the iteration cap ({cap}); rule set is not converging"
             )
-        new_this_pass = 0
-        for triple, rule in _candidates(graph):
+        fresh = []
+        for triple, rule in _derive(graph, terms, tables, delta, new):
             if graph.insert(triple):
-                added.add(triple)
                 provenance[triple] = rule
-                new_this_pass += 1
-        if new_this_pass == 0:
+                fresh.append(triple)
+        if not fresh:
             break
+        terms.extend(graph.term(i) for i in range(len(terms), graph.term_count()))
+        ids = graph.term_id
+        new = {(ids(t.subject), ids(t.predicate), ids(t.object)) for t in fresh}
+        delta = _add({}, new)
+        _add(tables, new)
 
     rule_counts: dict[RuleId, int] = {}
     for rule in provenance.values():
         rule_counts[rule] = rule_counts.get(rule, 0) + 1
     return InferenceResult(
-        added=added, iterations=iterations, rule_counts=rule_counts, provenance=provenance
+        added=set(provenance), iterations=iterations, rule_counts=rule_counts, provenance=provenance
     )
 
 

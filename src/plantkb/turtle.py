@@ -23,6 +23,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 
 from .graph import Graph, PrefixMap
 from .lexer import Lexer, TokenParser
@@ -244,12 +246,6 @@ def _render_term(term: Term, pm: PrefixMap) -> str:
     return f"{quoted}^^{_render_iri(lit.datatype, pm)}"
 
 
-def _render_verb(predicate: Iri, pm: PrefixMap) -> str:
-    if predicate == RDF_TYPE:
-        return "a"
-    return _render_iri(predicate, pm)
-
-
 def serialize_turtle(graph: Graph, prefix_map: PrefixMap | None = None) -> str:
     """Write the graph as Turtle: sorted prefixes, subject-grouped sorted triples."""
     pm = prefix_map if prefix_map is not None else graph.prefix_map
@@ -257,34 +253,28 @@ def serialize_turtle(graph: Graph, prefix_map: PrefixMap | None = None) -> str:
     for prefix, ns in pm.items():
         lines.append(f"@prefix {prefix}: <{ns.value}> .")
 
-    triples = sorted(
-        graph,
-        key=lambda t: (term_sort_key(t.subject), term_sort_key(t.predicate), term_sort_key(t.object)),
-    )
+    # Each distinct term is keyed and rendered once.  Distinct terms have
+    # distinct sort keys, so sorting triples of ranks gives the order of
+    # sorting the triples by their terms' keys.
+    stored = graph.match_ids(None, None, None)
+    order = sorted({tid for ids in stored for tid in ids},
+                   key=lambda tid: term_sort_key(graph.term(tid)))
+    rank = {tid: r for r, tid in enumerate(order)}
+    text = [_render_term(graph.term(tid), pm) for tid in order]
+    type_rank = rank.get(graph.term_id(RDF_TYPE))
+    triples = sorted((rank[s], rank[p], rank[o]) for s, p, o in stored)
     if lines and triples:
         lines.append("")
 
-    i = 0
-    while i < len(triples):
-        subject = triples[i].subject
-        group = []
-        while i < len(triples) and triples[i].subject == subject:
-            group.append(triples[i])
-            i += 1
-        subj_text = _render_term(subject, pm)
+    for subject, group in groupby(triples, key=itemgetter(0)):
         parts = []
-        j = 0
-        while j < len(group):
-            predicate = group[j].predicate
-            objs = []
-            while j < len(group) and group[j].predicate == predicate:
-                objs.append(_render_term(group[j].object, pm))
-                j += 1
-            parts.append(f"{_render_verb(predicate, pm)} {', '.join(objs)}")
+        for predicate, objs in groupby(group, key=itemgetter(1)):
+            verb = "a" if predicate == type_rank else text[predicate]
+            parts.append(f"{verb} {', '.join(text[o] for _, _, o in objs)}")
         if len(parts) == 1:
-            lines.append(f"{subj_text} {parts[0]} .")
+            lines.append(f"{text[subject]} {parts[0]} .")
         else:
-            lines.append(f"{subj_text} {parts[0]} ;")
+            lines.append(f"{text[subject]} {parts[0]} ;")
             for part in parts[1:-1]:
                 lines.append(f"    {part} ;")
             lines.append(f"    {parts[-1]} .")

@@ -1,9 +1,11 @@
 """Forward chaining: per-rule behavior, fixpoint properties, consistency findings."""
 
+import hashlib
 import random
 
 import oracles
-from plantkb.fixtures import fixture_graph
+import pytest
+from plantkb.fixtures import fixture_graph, manifest
 from plantkb.graph import Graph
 from plantkb.reasoner import (
     Inconsistency,
@@ -29,6 +31,7 @@ from plantkb.terms import (
     Literal,
     Triple,
     XSD_INTEGER,
+    term_sort_key,
 )
 
 EX = "http://example.test/r#"
@@ -204,6 +207,94 @@ def test_store_reads_per_sweep_do_not_grow_with_the_data(monkeypatch):
         res = materialize(g)
         per_size.append((len(calls), res.iterations))
     assert per_size[0] == per_size[1]
+
+
+def _reads_for_chain(monkeypatch, length):
+    """Store reads (match_with_stats plus match_ids) made by one materialize
+    of a subclass chain, and the sweeps it took."""
+    calls = []
+    for name in ("match_with_stats", "match_ids"):
+        real = getattr(Graph, name)
+
+        def counting(self, *args, _real=real, **kwargs):
+            calls.append(args)
+            return _real(self, *args, **kwargs)
+
+        monkeypatch.setattr(Graph, name, counting)
+    chain = [iri(f"C{i}") for i in range(length)]
+    g = build(*(Triple(sub, RDFS_SUBCLASSOF, sup) for sub, sup in zip(chain, chain[1:])))
+    res = materialize(g)
+    monkeypatch.undo()
+    return len(calls), res.iterations
+
+
+def test_store_is_read_once_per_call_not_once_per_sweep(monkeypatch):
+    short_reads, short_sweeps = _reads_for_chain(monkeypatch, 4)
+    long_reads, long_sweeps = _reads_for_chain(monkeypatch, 18)
+    assert (short_sweeps, long_sweeps) == (3, 6)
+    assert short_reads == long_reads
+
+
+def test_fixture_materialization_makes_fewer_insert_attempts(monkeypatch):
+    g = fixture_graph("arabidopsis")
+    attempts, new = [], []
+    real = Graph.insert
+
+    def counting(self, triple):
+        added = real(self, triple)
+        attempts.append(triple)
+        new.extend([triple] if added else [])
+        return added
+
+    monkeypatch.setattr(Graph, "insert", counting)
+    materialize(g)
+    # naive re-evaluation made 211 attempts here; each sweep now joins only
+    # the previous sweep's new triples, yet a duplicate still reaches insert
+    assert len(new) == 46 < len(attempts) < 211
+
+
+# SHA-256 of each materialize result (provenance items, iterations, rule
+# counts, and the graph's term-id table), recorded with naive re-evaluation.
+_FIXTURE_DIGESTS = {
+    "arabidopsis": "eaf7245ef1ce067f4b9c50557b98905b710d469a5b58d755b4ca77702d2a0861",
+    "nc001": "ebc675b6fe4a52f65d6c68086684cd32f5a02925c8c5db2d5c9c3cf9036318ad",
+    "nc002": "b86505f16a5f604dcb95fafb2a8200805247a9412d3431cbf6a1c32cd5c2401d",
+    "md001": "a55f7c0fc5e53828567f2016099ae052dbac3b984bd7ab1ad004ff58e599a950",
+    "cn001": "88e2e3b032b8a643fec04f30a165163287b32395d089149cffa120e56c54030a",
+    "cn002": "0130f67ecb5b6402ac5e40f00ffe5b082500535cab48acd9b66d6c43d5aa8a82",
+    "cn003": "ec94fc7cd659c2604d53a2f735d8c798aa5080c7b6ad6263d40d5d788db323cd",
+    "rf001": "f8070675dda11054fa61b570a2074961f04ecd878127281f722c5e49045bd5b9",
+    "cs001": "b650886ae796f9a58c36c72bfccba0c70f1825e332f923008b27a748009fda68",
+    "cs002": "055f219888a64fb5d3c9e15eb17004cb2136e021547494911c4dca08c6fbe832",
+}
+# the 300 ontologies of random_ontology(Random(6)), chained in order
+_RANDOM_DIGEST = "8f19d78189e6b3cee762d1036a83f536e18cf619e5ebb94f70cafa7305d67c0e"
+
+
+def _result_digest(g):
+    res = materialize(g)
+    h = hashlib.sha256()
+    h.update(repr(sorted((repr(t), r.value) for t, r in res.provenance.items())).encode())
+    h.update(repr((res.iterations, sorted((r.value, n) for r, n in res.rule_counts.items()))).encode())
+    h.update(repr([g.term(i) for i in range(g.term_count())]).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", [m.name for m in manifest()])
+def test_fixture_results_match_recorded_digests(name):
+    assert _result_digest(fixture_graph(name)) == _FIXTURE_DIGESTS[name]
+
+
+def test_random_ontology_results_match_recorded_digest():
+    def key(t):
+        return (term_sort_key(t.subject), term_sort_key(t.predicate), term_sort_key(t.object))
+
+    rng = random.Random(6)
+    h = hashlib.sha256()
+    for _ in range(300):
+        # insertion order fixes the term-id table independently of hash seeds
+        h.update(_result_digest(build(*sorted(oracles.random_ontology(rng), key=key))).encode())
+    assert h.hexdigest() == _RANDOM_DIGEST
 
 
 def test_result_shape():
