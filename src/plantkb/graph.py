@@ -1,9 +1,12 @@
 """Indexed in-memory triple store.
 
 Terms are dictionary-encoded to integer identifiers; the store keeps one
-authoritative set of id-triples plus three sorted views (SPO, POS, OSP) that
-are rebuilt lazily after mutations.  Pattern lookup binary-searches the view
-chosen by the pattern's bound-slot signature:
+authoritative set of ``(s, p, o)`` id-triples.  The three lookup views (SPO,
+POS, OSP) are lists of those same tuples, each sorted by its own key: a view
+is sorted on its first use after a write, so a reader that needs only one
+order sorts only one, and a copy shares the views its source already has
+(views are replaced, never changed in place).  Pattern lookup binary-searches
+the view chosen by the pattern's bound-slot signature:
 
     signature (S,P,O)  index     prefix
     ---------------------------------------
@@ -21,11 +24,12 @@ The table is fixed, not adaptive.  One range lookup serves both
 for callers that join on ids and decode late).  A graph supports many
 concurrent readers or one exclusive writer; handlers that must never observe
 mutation should work on a :meth:`Graph.snapshot`, which is an independent
-frozen copy.
+frozen copy with every view already sorted.
 """
 
 from __future__ import annotations
 
+import re
 import threading
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -35,13 +39,11 @@ from .errors import FrozenGraphError, MalformedTripleError, UnknownPrefixError
 from .terms import BlankNode, Iri, Literal, Term, Triple, TriplePattern, Var
 
 _SPO, _POS, _OSP = "spo", "pos", "osp"
-# reorders an id-tuple of the POS or OSP view into (s, p, o)
-_TO_SPO = {_POS: itemgetter(2, 0, 1), _OSP: itemgetter(1, 2, 0)}
+# sort key of each view over (s, p, o) id-tuples; SPO is their natural order
+_KEYS = {_SPO: None, _POS: itemgetter(1, 2, 0), _OSP: itemgetter(2, 0, 1)}
 
 # Local-part shape that survives a prefixed-name round trip in our Turtle
 # subset; anything else is written as a full <...> IRI.
-import re
-
 _SAFE_LOCAL = re.compile(r"^(?:[A-Za-z0-9_](?:[A-Za-z0-9_.-]*[A-Za-z0-9_-])?)?$")
 
 
@@ -132,8 +134,8 @@ class Graph:
         self._term_to_id: dict[Term, int] = {}
         self._id_to_term: list[Term] = []
         self._triples: set[tuple[int, int, int]] = set()
-        self._views: dict[str, list[tuple[int, int, int]]] = {_SPO: [], _POS: [], _OSP: []}
-        self._views_fresh = True
+        # order -> the id-triples sorted by that order; dropped on every write
+        self._views: dict[str, list[tuple[int, int, int]]] = {}
         self._frozen = False
         self._write_lock = threading.Lock()
 
@@ -183,7 +185,8 @@ class Graph:
             if ids in self._triples:
                 return False
             self._triples.add(ids)
-            self._views_fresh = False
+            if self._views:
+                self._views = {}
             return True
 
     def remove(self, t: Triple) -> bool:
@@ -194,29 +197,31 @@ class Graph:
             if None in ids or ids not in self._triples:
                 return False
             self._triples.remove(ids)  # type: ignore[arg-type]
-            self._views_fresh = False
+            if self._views:
+                self._views = {}
             return True
 
     # -- views ----------------------------------------------------------------
 
-    def _refresh_views(self) -> None:
-        if self._views_fresh:
-            return
-        with self._write_lock:
-            if self._views_fresh:
-                return
-            spo = sorted(self._triples)
-            self._views[_SPO] = spo
-            self._views[_POS] = sorted((p, o, s) for s, p, o in self._triples)
-            self._views[_OSP] = sorted((o, s, p) for s, p, o in self._triples)
-            self._views_fresh = True
+    def _view(self, order: str) -> list[tuple[int, int, int]]:
+        """The id-triples sorted by ``order``, sorted now if a write made the
+        last sort stale."""
+        view = self._views.get(order)
+        if view is None:
+            with self._write_lock:
+                view = self._views.get(order)
+                if view is None:
+                    view = self._views[order] = sorted(self._triples, key=_KEYS[order])
+        return view
 
     def index_entries(self, order: str) -> list[tuple[int, int, int]]:
-        """Sorted id-tuples of one view ('spo', 'pos', 'osp'); for inspection."""
-        if order not in self._views:
+        """Sorted id-tuples of one view ('spo', 'pos', 'osp'), each in that
+        view's slot order; for inspection."""
+        if order not in _KEYS:
             raise ValueError(f"unknown index order: {order!r}")
-        self._refresh_views()
-        return list(self._views[order])
+        key = _KEYS[order]
+        view = self._view(order)
+        return list(view) if key is None else list(map(key, view))
 
     # -- matching ---------------------------------------------------------------
 
@@ -230,18 +235,22 @@ class Graph:
         ids = self._pattern_ids(pattern)
         if ids is None:
             return [], stats
-        triples = [self._decode(t) for t in self.match_ids(*ids, stats=stats)]
-        return self._filter_repeated_vars(pattern, triples), stats
+        found = self.match_ids(*ids, stats=stats)
+        slots = pattern.slots()
+        same = [(i, j) for i, j in ((0, 1), (0, 2), (1, 2))
+                if isinstance(slots[i], Var) and slots[i] == slots[j]]
+        if same:
+            found = [t for t in found if all(t[i] == t[j] for i, j in same)]
+        return [self._decode(t) for t in found], stats
 
     def match_ids(self, s: int | None, p: int | None, o: int | None,
                   stats: MatchStats | None = None) -> list[tuple[int, int, int]]:
         """Id-triples (s, p, o) agreeing with every given id (None matches
         anything), in index order; the view and entry count go into ``stats``."""
-        view, lo, hi = self._id_range(s, p, o, stats)
-        if view == "set":
+        entries, lo, hi = self._id_range(s, p, o, stats)
+        if entries is None:
             return [(s, p, o)] if hi else []  # type: ignore[list-item]
-        run = self._views[view][lo:hi]
-        return run if view == _SPO else list(map(_TO_SPO[view], run))
+        return entries[lo:hi]
 
     def _pattern_ids(self, pattern: TriplePattern) -> tuple[int | None, int | None, int | None] | None:
         """The ids of the pattern's concrete slots (None for a variable), or
@@ -258,21 +267,20 @@ class Graph:
         return tuple(ids)  # type: ignore[return-value]
 
     def _id_range(self, s: int | None, p: int | None, o: int | None,
-                  stats: MatchStats | None = None) -> tuple[str, int, int]:
+                  stats: MatchStats | None = None) -> tuple[list[tuple[int, int, int]] | None, int, int]:
         """The view for the given ids and the [lo, hi) run of it holding every
         triple that agrees with them.
 
-        All three given is a membership test: ("set", 0, 1) if present, else
-        ("set", 0, 0).  With ``stats``, the view and the entries examined
+        All three given is a membership test: (None, 0, 1) if present, else
+        (None, 0, 0).  With ``stats``, the view and the entries examined
         (lower-bound probes plus the scan, which also reads the first entry
         past the run) are recorded.
         """
         if s is not None and p is not None and o is not None:
             if stats is not None:
                 stats.index_used, stats.entries_visited = "set", 1
-            return "set", 0, int((s, p, o) in self._triples)
+            return None, 0, int((s, p, o) in self._triples)
 
-        self._refresh_views()
         if s is not None and o is not None:
             order, prefix = _OSP, (o, s)
         elif s is not None and p is not None:
@@ -286,38 +294,18 @@ class Graph:
         elif o is not None:
             order, prefix = _OSP, (o,)
         else:
-            n = len(self._views[_SPO])
+            entries = self._view(_SPO)
             if stats is not None:
-                stats.index_used, stats.entries_visited = _SPO, n
-            return _SPO, 0, n
-        entries = self._views[order]
-        lo = bisect_left(entries, prefix)
+                stats.index_used, stats.entries_visited = _SPO, len(entries)
+            return entries, 0, len(entries)
+        entries, key = self._view(order), _KEYS[order]
+        lo = bisect_left(entries, prefix, key=key)
         # ids are integers, so the run ends before the prefix's successor
-        hi = bisect_left(entries, prefix[:-1] + (prefix[-1] + 1,), lo)
+        hi = bisect_left(entries, prefix[:-1] + (prefix[-1] + 1,), lo, key=key)
         if stats is not None:
             stats.index_used = order
             stats.entries_visited = _probes(len(entries), lo) + hi - lo + (hi < len(entries))
-        return order, lo, hi
-
-    @staticmethod
-    def _filter_repeated_vars(pattern: TriplePattern, triples: list[Triple]) -> list[Triple]:
-        slots = pattern.slots()
-        names = [s.name if isinstance(s, Var) else None for s in slots]
-        shared = {n for n in names if n is not None and names.count(n) > 1}
-        if not shared:
-            return triples
-        out = []
-        for t in triples:
-            values = (t.subject, t.predicate, t.object)
-            ok = True
-            for name in shared:
-                group = {values[i] for i in range(3) if names[i] == name}
-                if len(group) > 1:
-                    ok = False
-                    break
-            if ok:
-                out.append(t)
-        return out
+        return entries, lo, hi
 
     def count_matching(self, pattern: TriplePattern) -> int:
         """Upper-bound match count by index range width (ignores repeated-var filtering)."""
@@ -338,8 +326,7 @@ class Graph:
 
     def __iter__(self):
         """Iterate all triples in SPO id order (deterministic for a fixed build)."""
-        self._refresh_views()
-        for ids in self._views[_SPO]:
+        for ids in self._view(_SPO):
             yield self._decode(ids)
 
     def __eq__(self, other: object) -> bool:
@@ -362,13 +349,14 @@ class Graph:
         g._term_to_id = dict(self._term_to_id)
         g._id_to_term = list(self._id_to_term)
         g._triples = set(self._triples)
-        g._views_fresh = False
+        g._views = dict(self._views)
         return g
 
     def snapshot(self) -> "Graph":
         """Independent frozen copy; insert/remove on it raise FrozenGraphError."""
         g = self.copy()
-        g._refresh_views()
+        for order in _KEYS:
+            g._view(order)
         g._frozen = True
         return g
 

@@ -16,8 +16,8 @@ from typing import Union
 from .errors import MalformedTripleError
 
 _IRI_FORBIDDEN = re.compile(r'[\s<>"]')
-_BNODE_LABEL = re.compile(r"^[A-Za-z0-9_](?:[A-Za-z0-9_.-]*[A-Za-z0-9_-])?$")
-_LANG_TAG = re.compile(r"^[A-Za-z]+(?:-[A-Za-z0-9]+)*$")
+_BNODE_LABEL = re.compile(r"[A-Za-z0-9_](?:[A-Za-z0-9_.-]*[A-Za-z0-9_-])?")
+_LANG_TAG = re.compile(r"[A-Za-z]+(?:-[A-Za-z0-9]+)*")
 
 XSD = "http://www.w3.org/2001/XMLSchema#"
 RDF = "http://www.w3.org/1999/02/22-rdf-syntax-ns#"
@@ -72,8 +72,8 @@ XSD_BOOLEAN = Iri(XSD + "boolean")
 XSD_DOUBLE = Iri(XSD + "double")
 XSD_FLOAT = Iri(XSD + "float")
 
-_INTEGER_SHAPE = re.compile(r"^[+-]?[0-9]+$")
-_DECIMAL_SHAPE = re.compile(r"^[+-]?(?:[0-9]+\.[0-9]*|\.?[0-9]+)$")
+_INTEGER_SHAPE = re.compile(r"[+-]?[0-9]+")
+_DECIMAL_SHAPE = re.compile(r"[+-]?(?:[0-9]+\.[0-9]*|\.?[0-9]+)")
 
 
 @dataclass(frozen=True, slots=True)
@@ -83,7 +83,7 @@ class BlankNode:
     label: str
 
     def __post_init__(self):
-        if not _BNODE_LABEL.match(self.label):
+        if not _BNODE_LABEL.fullmatch(self.label):
             raise ValueError(f"invalid blank node label: {self.label!r}")
 
     def __repr__(self) -> str:
@@ -106,13 +106,13 @@ class Literal:
         if self.language is not None:
             if self.datatype != RDF_LANG_STRING:
                 raise ValueError("language tag requires the rdf:langString datatype")
-            if not _LANG_TAG.match(self.language):
+            if not _LANG_TAG.fullmatch(self.language):
                 raise ValueError(f"malformed language tag: {self.language!r}")
         elif self.datatype == RDF_LANG_STRING:
             raise ValueError("rdf:langString literal requires a language tag")
-        if self.datatype in (XSD_INTEGER,) and not _INTEGER_SHAPE.match(self.lexical):
+        if self.datatype in (XSD_INTEGER,) and not _INTEGER_SHAPE.fullmatch(self.lexical):
             raise ValueError(f"not a valid xsd:integer lexical form: {self.lexical!r}")
-        if self.datatype == XSD_DECIMAL and not _DECIMAL_SHAPE.match(self.lexical):
+        if self.datatype == XSD_DECIMAL and not _DECIMAL_SHAPE.fullmatch(self.lexical):
             raise ValueError(f"not a valid xsd:decimal lexical form: {self.lexical!r}")
         if self.datatype in (XSD_DOUBLE, XSD_FLOAT):
             try:
@@ -152,7 +152,7 @@ class Var:
     name: str
 
     def __post_init__(self):
-        if not re.match(r"^[A-Za-z_][A-Za-z0-9_]*$", self.name):
+        if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", self.name):
             raise ValueError(f"invalid variable name: {self.name!r}")
 
     def __repr__(self) -> str:

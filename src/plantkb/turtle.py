@@ -42,8 +42,7 @@ from .terms import (
     term_sort_key,
 )
 
-_BARE_INTEGER = re.compile(r"^[+-]?[0-9]+$")
-_BARE_DECIMAL = re.compile(r"^[+-]?[0-9]*\.[0-9]+$")
+_BARE_DECIMAL = re.compile(r"[+-]?[0-9]*\.[0-9]+")
 
 _LEXER = Lexer(
     punctuation={".": "dot", ";": "semi", ",": "comma", "[": "lbracket", "]": "rbracket"},
@@ -234,9 +233,9 @@ def _render_term(term: Term, pm: PrefixMap) -> str:
     lit: Literal = term
     if lit.language is not None:
         return f'"{_escape_string(lit.lexical)}"@{lit.language}'
-    if lit.datatype == XSD_INTEGER and _BARE_INTEGER.match(lit.lexical):
+    if lit.datatype == XSD_INTEGER:
         return lit.lexical
-    if lit.datatype == XSD_DECIMAL and _BARE_DECIMAL.match(lit.lexical):
+    if lit.datatype == XSD_DECIMAL and _BARE_DECIMAL.fullmatch(lit.lexical):
         return lit.lexical
     if lit.datatype == XSD_BOOLEAN and lit.lexical in ("true", "false"):
         return lit.lexical

@@ -199,6 +199,80 @@ def test_snapshot_is_frozen_and_original_stays_writable():
     assert len(snap) == len(g) - 1  # snapshot unaffected
 
 
+def _random_pattern(rng, pool):
+    """A pattern over the pool's terms, wildcards and the variables ?x and ?y,
+    so that some patterns repeat a variable."""
+    terms = [x for tr in pool for x in (tr.subject, tr.predicate, tr.object)]
+    slots = []
+    for _ in range(3):
+        roll = rng.random()
+        slots.append(None if roll < 0.3 else Var(rng.choice("xy")) if roll < 0.6 else rng.choice(terms))
+    return TriplePattern(*slots)
+
+
+def _assert_reads_agree(g, model, rng, pool):
+    """match, match_ids and count_matching on g agree with a scan of model."""
+    assert set(g) == model and len(g) == len(model)
+    for _ in range(12):
+        pat = _random_pattern(rng, pool)
+        got = g.match(pat)
+        assert len(got) == len(set(got)) and set(got) == set(oracles.scan_match(model, pat))
+        stripped = TriplePattern(*(None if isinstance(x, Var) else x for x in pat.slots()))
+        want = set(oracles.scan_match(model, stripped))
+        assert g.count_matching(pat) == len(want)
+        ids = [None if x is None else g.term_id(x) for x in stripped.slots()]
+        if all((x is None) == (i is None) for x, i in zip(stripped.slots(), ids)):
+            found = g.match_ids(*ids)
+            assert len(found) == len(want)
+            assert {Triple(g.term(s), g.term(p), g.term(o)) for s, p, o in found} == want
+    for order in ("spo", "pos", "osp"):
+        entries = g.index_entries(order)
+        assert entries == sorted(entries) and len(entries) == len(model)
+
+
+def test_views_follow_interleaved_writes_copies_and_reads():
+    rng = random.Random(41)
+    for _ in range(30):
+        pool = list(oracles.random_document_triples(rng, max_triples=40))
+        graphs = [(Graph(), set())]
+        for _ in range(60):
+            g, model = rng.choice(graphs)
+            roll = rng.random()
+            if roll < 0.35:
+                tr = rng.choice(pool)
+                assert g.insert(tr) == (tr not in model)
+                model.add(tr)
+            elif roll < 0.5:
+                tr = rng.choice(pool)
+                assert g.remove(tr) == (tr in model)
+                model.discard(tr)
+            elif roll < 0.6 and len(graphs) < 4:
+                graphs.append((g.copy(), set(model)))
+            else:
+                _assert_reads_agree(g, model, rng, pool)
+        for g, model in graphs:
+            _assert_reads_agree(g, model, rng, pool)
+
+
+def test_copy_taken_after_reads_is_written_on_one_side_only():
+    rng = random.Random(43)
+    pool = list(oracles.random_document_triples(rng, max_triples=40))
+    g = Graph()
+    for tr in pool[:-1]:
+        g.insert(tr)
+    model = set(pool[:-1])
+    _assert_reads_agree(g, model, rng, pool)  # every view is sorted now
+    c, copy_model = g.copy(), set(model)
+    c.insert(pool[-1])
+    copy_model.add(pool[-1])
+    _assert_reads_agree(c, copy_model, rng, pool)
+    _assert_reads_agree(g, model, rng, pool)
+    g.remove(pool[0])
+    model.discard(pool[0])
+    _assert_reads_agree(g, model, rng, pool)
+    _assert_reads_agree(c, copy_model, rng, pool)
+
+
 def test_index_entries_sorted_and_sized():
     g = small_graph()
     for order in ("spo", "pos", "osp"):

@@ -33,6 +33,7 @@ from plantkb.terms import (
     XSD_INTEGER,
     term_sort_key,
 )
+from plantkb.turtle import serialize_turtle
 
 EX = "http://example.test/r#"
 
@@ -207,6 +208,29 @@ def test_store_reads_per_sweep_do_not_grow_with_the_data(monkeypatch):
         res = materialize(g)
         per_size.append((len(calls), res.iterations))
     assert per_size[0] == per_size[1]
+
+
+def test_materialize_and_serialize_sort_only_the_spo_view(monkeypatch):
+    # both read the whole store, which the SPO view serves; sorting the POS
+    # and OSP views as well would be wasted work
+    import plantkb.graph
+
+    keys = []
+
+    def counting(iterable, *, key=None):
+        items = list(iterable)
+        if items and all(isinstance(x, int) for x in items[0]):  # id-triples, not prefixes
+            keys.append(key)
+        return sorted(items, key=key)
+
+    chain = [iri(f"C{i}") for i in range(4)]
+    g = build(*(Triple(sub, RDFS_SUBCLASSOF, sup) for sub, sup in zip(chain, chain[1:])),
+              Triple(iri("x"), RDF_TYPE, chain[0]))
+    monkeypatch.setattr(plantkb.graph, "sorted", counting, raising=False)
+    assert materialize(g).added
+    assert keys == [None]  # one sort, in natural (s, p, o) order
+    serialize_turtle(g)
+    assert keys == [None, None]
 
 
 def _reads_for_chain(monkeypatch, length):

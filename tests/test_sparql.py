@@ -239,6 +239,16 @@ def test_filter_regex_only_matches_literals():
     assert [r["v"] for r in rows] == [Literal("alpha")]
 
 
+@pytest.mark.parametrize("condition", ["(?z = 1)", ' regex(?z, "a")'])
+def test_filter_on_a_variable_no_pattern_binds_drops_every_row(condition):
+    # SPARQL 1.1 section 17.2: an unbound variable makes the filter an error,
+    # and a row whose filter errs is dropped
+    g = build(Triple(iri("s"), iri("p"), Literal("a")),
+              Triple(iri("s"), iri("q"), Literal("1", XSD_INTEGER)))
+    assert len(rows_of("SELECT ?x WHERE { ?x ?p ?o }", g)) == 2
+    assert rows_of(f"SELECT ?x WHERE {{ ?x ?p ?o FILTER{condition} }}", g) == []
+
+
 def test_numeric_filters_compare_across_datatypes():
     p = iri("p")
     g = build(

@@ -42,7 +42,7 @@ def test_iri_local_name():
 def test_blank_node_label_validation():
     BlankNode("b1")
     BlankNode("a.b-c_d")
-    for bad in ("", "-x", ".x", "x.", "a b"):
+    for bad in ("", "-x", ".x", "x.", "a b", "b1\n"):
         with pytest.raises(ValueError):
             BlankNode(bad)
 
@@ -64,6 +64,8 @@ def test_language_tag_rules():
         Literal("x", RDF_LANG_STRING)  # langString without tag
     with pytest.raises(ValueError):
         Literal("x", RDF_LANG_STRING, "en_US")  # underscore is not valid
+    with pytest.raises(ValueError):
+        Literal("x", RDF_LANG_STRING, "en\n")  # the tag must end the string
 
 
 def test_numeric_lexical_validation():
@@ -76,6 +78,10 @@ def test_numeric_lexical_validation():
         Literal("abc", XSD_DECIMAL)
     with pytest.raises(ValueError):
         Literal("1e3", XSD_DECIMAL)  # exponents are not decimal syntax
+    # a trailing newline is not part of either lexical space
+    for lexical, datatype in (("5\n", XSD_INTEGER), ("1.5\n", XSD_DECIMAL)):
+        with pytest.raises(ValueError):
+            Literal(lexical, datatype)
     with pytest.raises(ValueError):
         Literal("nope", XSD_DOUBLE)
 
@@ -93,7 +99,7 @@ def test_numeric_value():
 def test_var_name_validation():
     Var("x")
     Var("_private9")
-    for bad in ("", "9x", "a-b", "a b"):
+    for bad in ("", "9x", "a-b", "a b", "x\n"):
         with pytest.raises(ValueError):
             Var(bad)
 

@@ -162,6 +162,15 @@ def test_malformed_terms_raise_parse_error_at_the_token(doc, line, column):
     assert (exc.value.line, exc.value.column) == (line, column)
 
 
+def test_numeric_literal_with_trailing_newline_is_a_parse_error():
+    # once accepted, it was written back bare and re-read as a different literal
+    doc = '<http://e/s> <http://e/p> "5\\n"^^<http://www.w3.org/2001/XMLSchema#integer> .'
+    with pytest.raises(ParseError) as exc:
+        parse_turtle(doc)
+    assert (exc.value.line, exc.value.column) == (1, 27)
+    assert "line 1, column 27: not a valid xsd:integer lexical form: '5\\n'" in str(exc.value)
+
+
 def test_missing_final_dot_is_an_error():
     with pytest.raises(ParseError):
         parse_turtle("<http://e.test/s> <http://e.test/p> <http://e.test/o>")
