@@ -16,6 +16,9 @@ A POST body whose Content-Length exceeds MAX_BODY_BYTES (1 MiB) gets 413 with
 Connection: close and is never read; the connection is then half-closed and
 what the client still sends is dropped for up to LINGER_S, so that the client
 can read the 413 before the close.
+
+A connection that sends nothing for REQUEST_TIMEOUT_S (30 s) is closed; if it
+stalls inside a POST body, it first gets 408 with Connection: close.
 """
 
 from __future__ import annotations
@@ -42,6 +45,8 @@ BIND_ENV_VAR = "PLANTKB_BIND"
 MAX_BODY_BYTES = 1 << 20
 # how long a connection closed with an unread body drops what still arrives
 LINGER_S = 2.0
+# how long a handler waits on a silent client (request line, headers or body)
+REQUEST_TIMEOUT_S = 30.0
 
 log = logging.getLogger("plantkb.endpoint")
 
@@ -57,7 +62,7 @@ def resolve_bind(flag: str | None = None) -> tuple[str, int]:
     """Bind address precedence: CLI flag, then PLANTKB_BIND, then the default."""
     text = flag or os.environ.get(BIND_ENV_VAR) or DEFAULT_BIND
     host, sep, port_text = text.rpartition(":")
-    if not sep or not port_text.isdigit():
+    if not (sep and port_text.isascii() and port_text.isdigit() and int(port_text) <= 65535):
         raise ValueError(f"bind address must be HOST:PORT, got {text!r}")
     return host, int(port_text)
 
@@ -105,6 +110,9 @@ def _prefers_csv(accept: str | None) -> bool:
 
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
+    # a read or write that waits longer raises TimeoutError; the stdlib then
+    # closes the connection (do_POST answers a stalled body with 408 first)
+    timeout = REQUEST_TIMEOUT_S
     dataset: Graph
     dataset_stats: dict[str, int]
 
@@ -196,7 +204,15 @@ class _Handler(BaseHTTPRequestHandler):
                          extra_headers={"Connection": "close"})
             self._linger()
             return
-        raw = self.rfile.read(int(length))
+        try:
+            raw = self.rfile.read(int(length))
+        except TimeoutError:
+            # RFC 9110, section 15.5.9; what the client sends later is dropped
+            self._finish(408, "text/plain; charset=utf-8",
+                         f"request body not received within {self.timeout:g} s".encode("ascii"),
+                         started, extra_headers={"Connection": "close"})
+            self._linger()
+            return
         content_type = (self.headers.get("Content-Type") or "").split(";")[0].strip().lower()
         try:
             if content_type == "application/x-www-form-urlencoded":

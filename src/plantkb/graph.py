@@ -19,9 +19,13 @@ the view chosen by the pattern's bound-slot signature:
     (-, -, O)          OSP       (o,)
     (-, -, -)          SPO       full scan
 
-The table is fixed, not adaptive.  One range lookup serves both
-:meth:`Graph.match` (decoded triples) and :meth:`Graph.match_ids` (id-triples,
-for callers that join on ids and decode late).  A graph supports many
+The table is fixed, not adaptive.  A bisect reads only the bound slots of a
+view's entries.  One range lookup serves both :meth:`Graph.match` (decoded
+triples) and :meth:`Graph.match_ids` (id-triples, for callers that join on
+ids and decode late).  Writes come as decoded triples through
+:meth:`Graph.insert`, which interns their terms, or as id-triples of
+already interned terms through :meth:`Graph.add_ids`, which checks and adds
+a whole batch under one lock (the Turtle parser's path).  A graph supports many
 concurrent readers or one exclusive writer; handlers that must never observe
 mutation should work on a :meth:`Graph.snapshot`, which is an independent
 frozen copy with every view already sorted.
@@ -32,7 +36,9 @@ from __future__ import annotations
 import re
 import threading
 from bisect import bisect_left
+from collections.abc import Iterable
 from dataclasses import dataclass
+from itertools import repeat
 from operator import itemgetter
 
 from .errors import FrozenGraphError, MalformedTripleError, UnknownPrefixError
@@ -41,6 +47,9 @@ from .terms import BlankNode, Iri, Literal, Term, Triple, TriplePattern, Var
 _SPO, _POS, _OSP = "spo", "pos", "osp"
 # sort key of each view over (s, p, o) id-tuples; SPO is their natural order
 _KEYS = {_SPO: None, _POS: itemgetter(1, 2, 0), _OSP: itemgetter(2, 0, 1)}
+# the bound slots a POS or OSP range lookup bisects on; SPO compares tuples
+_P, _P_O = itemgetter(1), itemgetter(1, 2)
+_O, _O_S = itemgetter(2), itemgetter(2, 0)
 
 # Local-part shape that survives a prefixed-name round trip in our Turtle
 # subset; anything else is written as a full <...> IRI.
@@ -171,6 +180,16 @@ class Graph:
         if self._frozen:
             raise FrozenGraphError("graph snapshot is read-only")
 
+    def _add(self, batch: set[tuple[int, int, int]]) -> int:
+        """Add checked id-triples with the write lock held; returns how many
+        were new.  The views are dropped when anything was."""
+        before = len(self._triples)
+        self._triples |= batch
+        added = len(self._triples) - before
+        if added and self._views:
+            self._views = {}
+        return added
+
     def insert(self, t: Triple) -> bool:
         """Add a triple; True iff it was not already present."""
         if not isinstance(t, Triple):
@@ -182,12 +201,40 @@ class Graph:
         self._check_writable()
         with self._write_lock:
             ids = (self._intern(t.subject), self._intern(t.predicate), self._intern(t.object))
-            if ids in self._triples:
-                return False
-            self._triples.add(ids)
-            if self._views:
-                self._views = {}
-            return True
+            return self._add({ids}) == 1
+
+    def add_ids(self, batch: Iterable[tuple[int, int, int]]) -> int:
+        """Add ``(s, p, o)`` id-triples of terms this graph interned; returns
+        how many were new (a triple repeated in the batch or already stored
+        counts once, or not at all).
+
+        The id-level write that goes with :meth:`term_id`, :meth:`term` and
+        :meth:`match_ids`.  The batch is checked as a whole before anything
+        is added: each distinct id must have been interned, each distinct
+        subject must not be a literal and each distinct predicate must be an
+        IRI, or MalformedTripleError is raised and the graph is unchanged.
+        """
+        self._check_writable()
+        new = set(batch)
+        if not new:
+            return 0
+        try:
+            if len(set(map(len, new))) != 1:
+                raise ValueError
+            subjects, predicates, objects = map(set, zip(*new))
+        except (TypeError, ValueError):
+            raise MalformedTripleError("expected (s, p, o) tuples of term ids") from None
+        ids = subjects | predicates | objects
+        if set(map(type, ids)) != {int} or min(ids) < 0 or max(ids) >= len(self._id_to_term):
+            bad = next(t for t in ids if type(t) is not int or not 0 <= t < len(self._id_to_term))
+            raise MalformedTripleError(f"term id {bad!r} was never interned")
+        term = self._id_to_term.__getitem__
+        if any(map(isinstance, map(term, subjects), repeat(Literal))):
+            raise MalformedTripleError("literal in subject position")
+        if not all(map(isinstance, map(term, predicates), repeat(Iri))):
+            raise MalformedTripleError("predicate must be an IRI")
+        with self._write_lock:
+            return self._add(new)
 
     def remove(self, t: Triple) -> bool:
         """Remove a triple; True iff it was present."""
@@ -282,26 +329,26 @@ class Graph:
             return None, 0, int((s, p, o) in self._triples)
 
         if s is not None and o is not None:
-            order, prefix = _OSP, (o, s)
+            order, key, first, past = _OSP, _O_S, (o, s), (o, s + 1)
         elif s is not None and p is not None:
-            order, prefix = _SPO, (s, p)
+            order, key, first, past = _SPO, None, (s, p), (s, p + 1)
         elif s is not None:
-            order, prefix = _SPO, (s,)
+            order, key, first, past = _SPO, None, (s,), (s + 1,)
         elif p is not None and o is not None:
-            order, prefix = _POS, (p, o)
+            order, key, first, past = _POS, _P_O, (p, o), (p, o + 1)
         elif p is not None:
-            order, prefix = _POS, (p,)
+            order, key, first, past = _POS, _P, p, p + 1
         elif o is not None:
-            order, prefix = _OSP, (o,)
+            order, key, first, past = _OSP, _O, o, o + 1
         else:
             entries = self._view(_SPO)
             if stats is not None:
                 stats.index_used, stats.entries_visited = _SPO, len(entries)
             return entries, 0, len(entries)
-        entries, key = self._view(order), _KEYS[order]
-        lo = bisect_left(entries, prefix, key=key)
-        # ids are integers, so the run ends before the prefix's successor
-        hi = bisect_left(entries, prefix[:-1] + (prefix[-1] + 1,), lo, key=key)
+        # ids are integers, so the run ends before the bound slots' successor
+        entries = self._view(order)
+        lo = bisect_left(entries, first, key=key)
+        hi = bisect_left(entries, past, lo, key=key)
         if stats is not None:
             stats.index_used = order
             stats.entries_visited = _probes(len(entries), lo) + hi - lo + (hi < len(entries))

@@ -143,20 +143,25 @@ class Lexer:
         """Every token of ``text``, ending with an ``eof`` token; raises ParseError."""
         tokens: list[Token] = []
         append = tokens.append
+        # tokens of one prefixed name share one (prefix, local) value, which
+        # keeps a long token list small
+        names: dict[tuple[str, str], tuple[str, str]] = {}
         pos = 0
         while True:
             m = self._match(text, pos)
             group = m.lastgroup
             start, pos = m.start(group), m.end()
-            source = m[group]
             if group == "word":
                 prefix = m["prefix"]
-                if prefix is None:
-                    append(self._word(text, start, source))
-                elif prefix and not prefix[0].isalpha():
-                    raise _error(f"malformed prefix label {prefix!r}", text, start, prefix)
-                else:
-                    append(Token("pname", (prefix, m["local"]), start))
+                if prefix is not None:
+                    if prefix and not prefix[0].isalpha():
+                        raise _error(f"malformed prefix label {prefix!r}", text, start, prefix)
+                    name = (prefix, m["local"])
+                    append(Token("pname", names.setdefault(name, name), start))
+                    continue
+            source = m[group]
+            if group == "word":
+                append(self._word(text, start, source))
             elif group == "iriref" or group == "string":
                 append(Token(group, _unquote(text, start, pos), start))
             elif group == "punct":

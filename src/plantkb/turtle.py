@@ -14,6 +14,17 @@ exponents all raise :class:`UnsupportedConstructError` naming the construct.
 The lexical subset (IRIs, strings, escapes, names, numbers) is defined once,
 in :mod:`plantkb.lexer`, and shared with the SPARQL parser.
 
+The reader works on term ids.  Each distinct token (a prefixed name, an
+IRI reference, a blank node label, a literal with its tag or datatype) is
+built into a term and checked once, where it first occurs; a repeat of the
+token reuses the term's id.  Ids are assigned in emission order: a term gets
+its id at the first emitted triple that uses it, in subject, predicate,
+object order, with the triples inside a ``[ ... ]`` list emitted before the
+one that uses its node, so ids come out as inserting the triples one by one
+would give them.  Rebinding a prefix or the base forgets the tokens seen so
+far, since it changes what they mean.  Each statement's id-triples are added
+to the graph as one batch through :meth:`Graph.add_ids`.
+
 The writer is deterministic: given equal graphs and prefix maps it emits
 byte-identical documents, and any document it emits parses back to an equal
 graph.
@@ -27,7 +38,7 @@ from itertools import groupby
 from operator import itemgetter
 
 from .graph import Graph, PrefixMap
-from .lexer import Lexer, TokenParser
+from .lexer import Lexer, Token, TokenParser
 from .terms import (
     RDF_TYPE,
     XSD_BOOLEAN,
@@ -38,7 +49,6 @@ from .terms import (
     Iri,
     Literal,
     Term,
-    Triple,
     term_sort_key,
 )
 
@@ -64,12 +74,39 @@ class ParseOutcome:
         return self.graph.prefix_map
 
 
+# Token kinds that can spell a term in each position of a statement (an
+# object may also be a quoted string or a '[ ... ]' list), and the kinds
+# after ';' that end a predicate-object list.
+_SUBJECT_KINDS = frozenset({"iriref", "pname", "blank"})
+_VERB_KINDS = frozenset({"iriref", "pname", "a"})
+_OBJECT_KINDS = frozenset({"iriref", "pname", "blank", "integer", "decimal", "boolean"})
+_LIST_ENDS = frozenset({"dot", "rbracket", "eof"})
+# what the statement loop reads next: a verb, an object, or what follows one
+_VERB, _OBJECT, _NEXT = range(3)
+
+
+class _Pending:
+    """A term built and checked at its token but not yet interned: it gets
+    its id at the first emitted triple that uses it."""
+
+    __slots__ = ("term", "memo", "key", "id")
+
+    def __init__(self, term: Term, memo: dict | None = None, key: object = None):
+        self.term, self.memo, self.key = term, memo, key
+        self.id: int | None = None
+
+
 class _Parser(TokenParser):
     def __init__(self, text: str, base: Iri | None):
         self.graph = Graph()
         super().__init__(_LEXER, text, self.graph.prefix_map, base)
         self._used_labels: set[str] = {t.value for t in self.tokens if t.kind == "blank"}  # type: ignore[misc]
         self._anon_counter = 0
+        # token kind -> token key -> the term's id, or its _Pending until the
+        # term is interned.  A string's key is its text, with its language
+        # tag ("langtag") or its datatype token ("dt") when it has one.
+        self._memo: dict[str, dict] = {
+            kind: {} for kind in (*_OBJECT_KINDS, "a", "string", "langtag", "dt")}
 
     def parse(self) -> ParseOutcome:
         while self._peek().kind != "eof":
@@ -88,90 +125,159 @@ class _Parser(TokenParser):
 
     def _prefix_directive(self, dotted: bool) -> None:
         self._prefix_declaration()
+        self._forget()
         if dotted:
             self._expect("dot", "'.' after @prefix directive")
 
     def _base_directive(self, dotted: bool) -> None:
         self._take()
         self.base = self._resolve(self._expect("iriref", "base IRI"))
+        self._forget()
         if dotted:
             self._expect("dot", "'.' after @base directive")
+
+    def _forget(self) -> None:
+        """Drop every token key: a rebound prefix or base changes what a name means."""
+        for memo in self._memo.values():
+            memo.clear()
 
     # -- statements ----------------------------------------------------------
 
     def _triples_statement(self) -> None:
-        tok = self._peek()
+        """One statement, through its final '.'.
+
+        Its triples are emitted in document order, the triples inside a
+        ``[ ... ]`` list before the one that uses the list's node, and each
+        term is interned at the first emitted triple that uses it, in
+        subject, predicate, object order.  The statement's id-triples are
+        added to the graph as one batch when it ends.
+        """
+        tokens, memo, intern = self.tokens, self._memo, self._intern
+        batch: list[tuple[int, int, int]] = []
+        # per open '[': the subject and predicate around it and its token; a
+        # list that is the statement's subject has no predicate around it
+        frames: list[tuple[object, object, Token]] = []
+        i = self.pos
+        tok = tokens[i]
         if tok.kind == "lbracket":
-            subject = self._bnode_property_list()
-            if self._peek().kind != "dot":
-                self._predicate_object_list(subject)
+            subject: object = _Pending(self._fresh_bnode())
+            if tokens[i + 1].kind == "rbracket":
+                i += 2
+                if tokens[i].kind == "dot":
+                    return self._end_statement(i, batch)
+            else:
+                frames.append((None, None, tok))
+                i += 1
+        elif tok.kind in _SUBJECT_KINDS:
+            subject = memo[tok.kind].get(tok.value)
+            if subject is None:
+                subject = self._build(i, memo[tok.kind], tok.value)
+            i += 1
         else:
-            subject = self._subject()
-            self._predicate_object_list(subject)
+            raise self._error("subject expected (IRI or blank node)", tok)
+
+        state = _VERB
+        while True:
+            tok = tokens[i]
+            kind = tok.kind
+            if state == _VERB:
+                if kind not in _VERB_KINDS:
+                    raise self._error("predicate expected (IRI or 'a')", tok)
+                predicate = memo[kind].get(tok.value)
+                if predicate is None:
+                    predicate = self._build(i, memo[kind], tok.value)
+                i += 1
+                state = _OBJECT
+                continue
+            if state == _OBJECT:
+                if kind == "lbracket":
+                    obj = _Pending(self._fresh_bnode())
+                    if tokens[i + 1].kind != "rbracket":
+                        frames.append((subject, predicate, tok))
+                        subject = obj
+                        i += 1
+                        state = _VERB
+                        continue
+                    i += 2
+                else:
+                    key, width = tok.value, 1
+                    if kind == "string":
+                        after = tokens[i + 1]
+                        if after.kind == "langtag":
+                            kind, key, width = "langtag", (key, after.value), 2
+                        elif after.kind == "dt":
+                            dt = tokens[i + 2]
+                            kind, key, width = "dt", (key, dt.kind, dt.value), 3
+                    elif kind not in _OBJECT_KINDS:
+                        raise self._error("object expected", tok)
+                    obj = memo[kind].get(key)
+                    if obj is None:
+                        obj = self._build(i, memo[kind], key)
+                    i += width
+            else:  # after an object
+                if kind == "comma":
+                    i += 1
+                    state = _OBJECT
+                    continue
+                if kind == "semi":
+                    i += 1
+                    while tokens[i].kind == "semi":
+                        i += 1
+                    tok = tokens[i]
+                    if tok.kind not in _LIST_ENDS:
+                        state = _VERB
+                        continue
+                # the predicate-object list ends at tok
+                if not frames:
+                    return self._end_statement(i, batch)
+                outer_subject, outer_predicate, open_tok = frames.pop()
+                if tok.kind != "rbracket":
+                    raise self._error("']' expected to close blank node property list",
+                                      open_tok, self._source(tok))
+                i += 1
+                if outer_predicate is None:
+                    if tokens[i].kind == "dot":
+                        return self._end_statement(i, batch)
+                    state = _VERB
+                    continue
+                obj, subject, predicate = subject, outer_subject, outer_predicate
+            if type(subject) is not int:
+                subject = intern(subject)
+            if type(predicate) is not int:
+                predicate = intern(predicate)
+            if type(obj) is not int:
+                obj = intern(obj)
+            batch.append((subject, predicate, obj))  # type: ignore[arg-type]
+            state = _NEXT
+
+    def _end_statement(self, i: int, batch: list[tuple[int, int, int]]) -> None:
+        self.pos = i
         self._expect("dot", "'.' at end of statement")
+        self.graph.add_ids(batch)
 
-    def _subject(self) -> Iri | BlankNode:
-        tok = self._peek()
-        if tok.kind in ("iriref", "pname"):
-            return self._iri_term()
-        if tok.kind == "blank":
-            self._take()
-            return BlankNode(tok.value)  # type: ignore[arg-type]
-        raise self._error("subject expected (IRI or blank node)", tok)
+    def _build(self, i: int, memo: dict, key: object) -> _Pending:
+        """The term spelled from token ``i`` on, built and checked there, and
+        kept under ``key`` until it is interned."""
+        self.pos = i
+        kind = self.tokens[i].kind
+        if kind == "a":
+            term: Term = RDF_TYPE
+        elif kind == "blank":
+            term = BlankNode(self.tokens[i].value)  # type: ignore[arg-type]
+        elif kind in ("iriref", "pname"):
+            term = self._iri_term()
+        else:
+            term = self._literal()
+        pending = memo[key] = _Pending(term, memo, key)
+        return pending
 
-    def _predicate_object_list(self, subject: Iri | BlankNode) -> None:
-        while True:
-            predicate = self._verb()
-            self._object_list(subject, predicate)
-            if self._peek().kind != "semi":
-                return
-            while self._peek().kind == "semi":
-                self._take()
-            if self._peek().kind in ("dot", "rbracket", "eof"):
-                return
-
-    def _verb(self) -> Iri:
-        tok = self._peek()
-        if tok.kind == "a":
-            self._take()
-            return RDF_TYPE
-        if tok.kind in ("iriref", "pname"):
-            return self._iri_term()
-        raise self._error("predicate expected (IRI or 'a')", tok)
-
-    def _object_list(self, subject: Iri | BlankNode, predicate: Iri) -> None:
-        while True:
-            obj = self._object()
-            self.graph.insert(Triple(subject, predicate, obj))
-            if self._peek().kind != "comma":
-                return
-            self._take()
-
-    def _object(self) -> Term:
-        tok = self._peek()
-        if tok.kind in ("iriref", "pname"):
-            return self._iri_term()
-        if tok.kind == "blank":
-            self._take()
-            return BlankNode(tok.value)  # type: ignore[arg-type]
-        if tok.kind == "lbracket":
-            return self._bnode_property_list()
-        if tok.kind in ("string", "integer", "decimal", "boolean"):
-            return self._literal()
-        raise self._error("object expected", tok)
-
-    def _bnode_property_list(self) -> BlankNode:
-        open_tok = self._expect("lbracket", "'['")
-        node = self._fresh_bnode()
-        if self._peek().kind == "rbracket":
-            self._take()
-            return node
-        self._predicate_object_list(node)
-        tok = self._peek()
-        if tok.kind != "rbracket":
-            raise self._error("']' expected to close blank node property list", open_tok, self._source(tok))
-        self._take()
-        return node
+    def _intern(self, pending: _Pending) -> int:
+        """The term's id, interned now if no emitted triple used it yet."""
+        if pending.id is None:
+            pending.id = self.graph._intern(pending.term)
+            if pending.memo is not None:
+                pending.memo[pending.key] = pending.id
+        return pending.id
 
     def _fresh_bnode(self) -> BlankNode:
         while True:

@@ -168,6 +168,12 @@ def test_serve_rejects_bad_bind(capsys):
     assert "HOST:PORT" in capsys.readouterr().err
 
 
+def test_serve_rejects_out_of_range_port(capsys):
+    # used to end in OverflowError from socket.bind
+    assert main(["serve", CLEAN, "--bind", "127.0.0.1:70000"]) == 2
+    assert "HOST:PORT" in capsys.readouterr().err
+
+
 def test_serve_reports_occupied_port(capsys):
     blocker = socket.socket()
     try:

@@ -14,7 +14,9 @@ import pytest
 import plantkb.fixtures
 from plantkb.endpoint import (
     MAX_BODY_BYTES,
+    REQUEST_TIMEOUT_S,
     DatasetConfig,
+    _Handler,
     load_dataset,
     make_server,
     resolve_bind,
@@ -50,7 +52,7 @@ def test_resolve_bind_splits_on_last_colon():
 
 def test_resolve_bind_rejects_bad_addresses(monkeypatch):
     monkeypatch.delenv("PLANTKB_BIND", raising=False)
-    for bad in ("8080", "host:", "host:http", "host:80x"):
+    for bad in ("8080", "host:", "host:http", "host:80x", "host:65536", "host:70000", "host:\u00b2"):
         with pytest.raises(ValueError):
             resolve_bind(bad)
 
@@ -260,6 +262,43 @@ def test_body_at_the_size_limit_is_read(server):
                               body=query + b" " * (MAX_BODY_BYTES - len(query)))
     assert status == 200
     assert body == expected_json_body(SUBCLASS_QUERY)
+
+
+def read_until_close(sock):
+    reply = b""
+    while chunk := sock.recv(65536):
+        reply += chunk
+    return reply
+
+
+def test_stalled_body_gets_408_and_other_connections_still_answer(server, monkeypatch):
+    # a client that declares 100 bytes and sends 6 used to hold its handler
+    # thread forever, with no response
+    monkeypatch.setattr(_Handler, "timeout", 0.3)
+    with socket.create_connection(server, timeout=5) as sock:
+        started = time.monotonic()
+        sock.sendall(b"POST /sparql HTTP/1.1\r\nHost: test\r\n"
+                     b"Content-Length: 100\r\n\r\nSELECT")
+        assert request(server, "GET", "/health")[:3:2] == (200, b"ok")
+        reply = read_until_close(sock)
+        elapsed = time.monotonic() - started
+    head, _, body = reply.partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 408 ")
+    assert b"Content-Type: text/plain; charset=utf-8" in head
+    assert b"Connection: close" in head
+    assert body == b"request body not received within 0.3 s"
+    assert elapsed < 2.0
+
+
+def test_idle_connection_is_closed(server, monkeypatch):
+    # without a handler timeout, an idle connection held its thread forever
+    assert _Handler.timeout == REQUEST_TIMEOUT_S == 30.0
+    monkeypatch.setattr(_Handler, "timeout", 0.3)
+    with socket.create_connection(server, timeout=5) as sock:
+        started = time.monotonic()
+        assert read_until_close(sock) == b""
+        assert time.monotonic() - started < 2.0
+    assert request(server, "GET", "/health")[0] == 200
 
 
 def test_invalid_utf8_body_is_rejected(server):

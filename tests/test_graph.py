@@ -199,6 +199,64 @@ def test_snapshot_is_frozen_and_original_stays_writable():
     assert len(snap) == len(g) - 1  # snapshot unaffected
 
 
+def _ids(g, *triples):
+    return [tuple(g.term_id(x) for x in (tr.subject, tr.predicate, tr.object)) for tr in triples]
+
+
+def test_add_ids_counts_each_new_triple_once():
+    g = small_graph()
+    present, = _ids(g, t("s1", "p1", "o1"))
+    s2, p1, o2 = _ids(g, t("s2", "p1", "o2"))[0]
+    assert (s2, p1, o2) not in g.match_ids(None, None, None)
+    assert g.add_ids([(s2, p1, o2), present, (s2, p1, o2)]) == 1
+    assert g.add_ids([(s2, p1, o2)]) == 0
+    assert g.add_ids([]) == 0
+    assert len(g) == 6 and t("s2", "p1", "o2") in g
+
+
+def test_add_ids_drops_stale_views():
+    g = small_graph()
+    s1, p2, o2 = _ids(g, t("s1", "p2", "o2"))[0]
+    for order in ("spo", "pos", "osp"):
+        g.index_entries(order)
+    assert g.match_ids(s1, p2, None) == [(s1, p2, g.term_id(iri("o1")))]
+    g.add_ids([(s1, p2, o2)])
+    assert g.match_ids(s1, p2, None) == sorted([(s1, p2, g.term_id(iri("o1"))), (s1, p2, o2)])
+    assert (s1, p2, o2) in g.match_ids(None, None, o2)
+    assert (s1, p2, o2) in g.match_ids(None, p2, None)
+    assert g.match(TriplePattern(iri("s1"), iri("p2"), Var("x"))) == [t("s1", "p2", "o1"), t("s1", "p2", "o2")]
+
+
+def test_add_ids_rejects_a_bad_batch_whole():
+    g = small_graph()
+    s1, p1, o1 = _ids(g, t("s1", "p1", "o1"))[0]
+    s2 = g.term_id(iri("s2"))
+    five = g.term_id(Literal("5", Iri("http://www.w3.org/2001/XMLSchema#integer")))
+    before = g.match_ids(None, None, None)
+    bad_triples = {
+        "literal subject": (five, p1, o1),
+        "literal predicate": (s2, five, o1),
+        "id never interned": (s2, p1, g.term_count()),
+        "negative id": (s2, -1, o1),
+        "None": (s2, p1, None),
+        "two slots": (s2, p1),
+        "four slots": (s2, p1, o1, o1),
+        "not a tuple": "abc",
+    }
+    for why, bad in bad_triples.items():
+        with pytest.raises(MalformedTripleError):
+            g.add_ids([(s2, p1, s1), bad])
+            pytest.fail(why)
+        assert g.match_ids(None, None, None) == before, why
+
+
+def test_add_ids_on_a_snapshot_is_refused():
+    g = small_graph()
+    snap = g.snapshot()
+    with pytest.raises(FrozenGraphError):
+        snap.add_ids(_ids(snap, t("s1", "p1", "o1")))
+
+
 def _random_pattern(rng, pool):
     """A pattern over the pool's terms, wildcards and the variables ?x and ?y,
     so that some patterns repeat a variable."""

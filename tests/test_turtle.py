@@ -1,6 +1,8 @@
 """Turtle subset: parsing, error reporting, deterministic serialization, round trips."""
 
+import hashlib
 import random
+from collections import Counter
 
 import pytest
 
@@ -21,7 +23,9 @@ from plantkb.terms import (
     Iri,
     Literal,
     Triple,
+    term_sort_key,
 )
+from plantkb.fixtures import fixture_text, manifest
 from plantkb.turtle import parse_turtle, serialize_turtle
 
 EX = "http://example.test/t#"
@@ -244,3 +248,146 @@ def test_round_trip_with_blank_nodes_and_prefixes():
     text = serialize_turtle(out.graph, out.prefixes)
     again = parse_turtle(text).graph
     assert again == out.graph
+
+
+# -- term ids ------------------------------------------------------------------
+#
+# A parse gives each term its id at the first emitted triple that uses it, in
+# subject, predicate, object order (a [ ... ] list's own triples come first),
+# exactly as inserting the emitted triples one by one would.  The digests
+# below were recorded with a parser that did insert them one by one.
+
+
+def parse_digest(text: str) -> str:
+    """SHA-256 of one parse: its term table, sorted id-triples and all three views."""
+    graph = parse_turtle(text).graph
+    h = hashlib.sha256()
+    h.update(repr([term_sort_key(graph.term(i)) for i in range(graph.term_count())]).encode())
+    h.update(repr(sorted(graph.match_ids(None, None, None))).encode())
+    for order in ("spo", "pos", "osp"):
+        h.update(repr(graph.index_entries(order)).encode())
+    return h.hexdigest()
+
+
+HAND_WRITTEN = {
+    "nested lists": """@prefix ex: <http://example.test/h#> .
+ex:s ex:p [ ex:q [ ex:r ex:o ; ex:t "x" ] , ex:o2 ] ; ex:u ex:s .
+[ ex:a ex:b ; ex:c [ ex:d ex:e ] ] ex:f ex:g , [ ] .
+[ ex:h ex:i ] .
+[] ex:j ex:k .
+[] .
+_:b1 ex:p [ ex:q _:b2 ] .
+ex:n1 ex:p [ ex:p ex:n1 ; ex:z [ ex:y ex:n1 ] ] .
+ex:aa ex:aa ex:aa .
+ex:s2 ex:p2 [ ex:p3 ex:p2 ] ;; ex:p4 ex:o4 ; .
+""",
+    "prefix rebound": """@prefix ex: <http://example.test/one#> .
+ex:s ex:p ex:o .
+@prefix ex: <http://example.test/two#> .
+ex:s ex:p ex:o , "1"^^ex:dt .
+PREFIX ex: <http://example.test/three#>
+ex:s ex:p "1"^^ex:dt , ex:o .
+""",
+    "base changed": """@base <http://example.test/a/> .
+<s> <p> <o> .
+BASE <http://example.test/b/>
+<s> <p> <o> , <../up> , "x"^^<dt> .
+@base <sub/> .
+<s> <p> <o> , "x"^^<dt> .
+""",
+    "one IRI three ways": """@prefix rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#> .
+@prefix ex: <http://example.test/h#> .
+ex:s a ex:C .
+ex:s rdf:type ex:D .
+ex:s <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> ex:E .
+rdf:type ex:p <http://example.test/h#s> .
+ex:s ex:p ex:s , <http://example.test/h#s> , rdf:type .
+""",
+    "literals": """@prefix xsd: <http://www.w3.org/2001/XMLSchema#> .
+@prefix ex: <http://example.test/h#> .
+ex:s ex:p "5" , 5 , "5"^^xsd:integer , "5"@en , true , "true"^^xsd:boolean ,
+    "5"^^<http://www.w3.org/2001/XMLSchema#integer> , "5"@EN , '5' , 5.0 , -5 , false ,
+    "5"^^xsd:string .
+ex:t ex:q "5"@en , 5 , "5" .
+""",
+}
+
+HAND_WRITTEN_DIGESTS = {
+    "base changed": "d080ae83554f9b84cb188cfb4ea7ba8f4d2563a179a5bc1d4562454b0671cb65",
+    "literals": "b9f46c5a326d318147617040aa24c46c970e37c648549545b759a4681ab0ca2f",
+    "nested lists": "7afe873e6ad2e0e058bd9ec9dd4b5ab8277e5894f00f4adf2351c8376b2ff319",
+    "one IRI three ways": "c9b1f52484cea38eeb598c2b86fcc3128f3bb06d96b1abc9dd75d43e114793bc",
+    "prefix rebound": "5e65c06f02e956e47c78ef9e18ac68788c2dfc71951d6104ef9779ddcfc05533",
+}
+
+FIXTURE_DIGESTS = {
+    "arabidopsis": "f7ea737e1ca67252a97b80908a5346714ad10e03b2a8295089e212540e29db07",
+    "nc001": "eb81184be319c9c93f3c9695624f04b6985a0fd0a62a7fc8f310ac2bf669da5a",
+    "nc002": "940961dc16a179645904c2ea2b93bbc48e08d32686b009b6163a1a34ad50fce8",
+    "md001": "b88702029f4bb8d5ce1303179a99fecb3a86bdd517109e59f26751ad51f60c43",
+    "cn001": "aae5ca7a7af72370dafb4c0534607b5f8a3787cdd0f2e59c2b4ea92bc3329d50",
+    "cn002": "9a39b71a8a6de53b2109838fc6869211b1901623bd56ce8a7fc4039f63fbc334",
+    "cn003": "a258afd9b46dda02416fe98512ed3619d149c87ca556f364fe54fce527d29ecc",
+    "rf001": "14eaf4a6deb73052f2af3e91af5fe120e191a36b513f65fea5d87361d3ba6e16",
+    "cs001": "efca7c120728281b0fe03b2f1a714f465b77fd09114df67d1aeef68beb0714d9",
+    "cs002": "dda6d12c17d619f222b170ed191c035de3523e1b6291cd5b88940c7fe2f92a0a",
+}
+
+# the per-document digests of random_documents(), hashed in order
+RANDOM_DOCUMENTS_DIGEST = "0045696f23fc7579d3e95e1db04ca1cf17f740259305e475a1582d9513672961"
+
+
+def random_documents():
+    """300 seeded random documents as serialize_turtle writes them; every
+    other one with prefixes, so prefixed names and ^^xsd: datatypes occur."""
+    rng = random.Random(9090)
+    prefixes = PrefixMap({"a": Iri("http://example.test/doc#"), "b": Iri("http://example.test/doc/"),
+                          "c": Iri("urn:doc:"), "xsd": Iri("http://www.w3.org/2001/XMLSchema#")})
+    for i in range(300):
+        g = Graph()
+        for tr in oracles.random_document_triples(rng):
+            g.insert(tr)
+        yield serialize_turtle(g, prefixes if i % 2 else PrefixMap())
+
+
+@pytest.mark.parametrize("name", sorted(HAND_WRITTEN))
+def test_hand_written_documents_keep_their_term_ids(name):
+    assert parse_digest(HAND_WRITTEN[name]) == HAND_WRITTEN_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", [entry.name for entry in manifest()])
+def test_fixtures_keep_their_term_ids(name):
+    assert parse_digest(fixture_text(name)) == FIXTURE_DIGESTS[name]
+
+
+def test_random_documents_keep_their_term_ids():
+    h = hashlib.sha256()
+    for text in random_documents():
+        h.update(parse_digest(text).encode())
+    assert h.hexdigest() == RANDOM_DOCUMENTS_DIGEST
+
+
+def test_parse_interns_each_distinct_term_once_and_never_inserts(monkeypatch):
+    rng = random.Random(11)
+    lines = ["@prefix ex: <http://example.test/w#> ."]
+    for _ in range(400):
+        lines.append(f"ex:s{rng.randrange(30)} ex:p{rng.randrange(5)} ex:o{rng.randrange(40)} , "
+                     f"{rng.randrange(10)} , \"v{rng.randrange(10)}\"@en ;\n"
+                     f"    a ex:C{rng.randrange(4)} ; ex:q [ ex:p{rng.randrange(5)} _:n{rng.randrange(9)} ] .")
+    calls = Counter()
+    intern, insert = Graph._intern, Graph.insert
+
+    def counting_intern(self, term):
+        calls["intern"] += 1
+        return intern(self, term)
+
+    def counting_insert(self, triple):
+        calls["insert"] += 1
+        return insert(self, triple)
+
+    monkeypatch.setattr(Graph, "_intern", counting_intern)
+    monkeypatch.setattr(Graph, "insert", counting_insert)
+    graph = parse_turtle("\n".join(lines)).graph
+    assert calls["insert"] == 0
+    assert calls["intern"] == graph.term_count()
+    assert 6 * graph.term_count() < 3 * len(graph)
