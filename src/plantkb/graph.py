@@ -180,11 +180,13 @@ class Graph:
         if self._frozen:
             raise FrozenGraphError("graph snapshot is read-only")
 
-    def _add(self, batch: set[tuple[int, int, int]]) -> int:
+    def _add(self, batch: Iterable[tuple[int, int, int]]) -> int:
         """Add checked id-triples with the write lock held; returns how many
-        were new.  The views are dropped when anything was."""
+        were new.  The views are dropped when anything was.  ``batch`` is a
+        sequence, not a set: ``set.update`` then grows the table as
+        ``set.add`` does, where merging a set would size it differently."""
         before = len(self._triples)
-        self._triples |= batch
+        self._triples.update(batch)
         added = len(self._triples) - before
         if added and self._views:
             self._views = {}
@@ -201,7 +203,7 @@ class Graph:
         self._check_writable()
         with self._write_lock:
             ids = (self._intern(t.subject), self._intern(t.predicate), self._intern(t.object))
-            return self._add({ids}) == 1
+            return self._add((ids,)) == 1
 
     def add_ids(self, batch: Iterable[tuple[int, int, int]]) -> int:
         """Add ``(s, p, o)`` id-triples of terms this graph interned; returns
@@ -215,14 +217,14 @@ class Graph:
         IRI, or MalformedTripleError is raised and the graph is unchanged.
         """
         self._check_writable()
-        new = set(batch)
-        if not new:
+        batch = list(batch)
+        if not batch:
             return 0
         try:
-            if len(set(map(len, new))) != 1:
-                raise ValueError
-            subjects, predicates, objects = map(set, zip(*new))
-        except (TypeError, ValueError):
+            if set(map(type, batch)) != {tuple} or set(map(len, batch)) != {3}:
+                raise TypeError
+            subjects, predicates, objects = map(set, zip(*batch))
+        except TypeError:
             raise MalformedTripleError("expected (s, p, o) tuples of term ids") from None
         ids = subjects | predicates | objects
         if set(map(type, ids)) != {int} or min(ids) < 0 or max(ids) >= len(self._id_to_term):
@@ -234,7 +236,7 @@ class Graph:
         if not all(map(isinstance, map(term, predicates), repeat(Iri))):
             raise MalformedTripleError("predicate must be an IRI")
         with self._write_lock:
-            return self._add(new)
+            return self._add(batch)
 
     def remove(self, t: Triple) -> bool:
         """Remove a triple; True iff it was present."""
