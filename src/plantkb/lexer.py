@@ -150,13 +150,13 @@ class Lexer:
         while True:
             m = self._match(text, pos)
             group = m.lastgroup
-            start, pos = m.start(group), m.end()
+            start, pos = m.span(group)  # the token ends the match
             if group == "word":
-                prefix = m["prefix"]
+                name = m.group("prefix", "local")
+                prefix = name[0]
                 if prefix is not None:
                     if prefix and not prefix[0].isalpha():
                         raise _error(f"malformed prefix label {prefix!r}", text, start, prefix)
-                    name = (prefix, m["local"])
                     append(Token("pname", names.setdefault(name, name), start))
                     continue
             source = m[group]

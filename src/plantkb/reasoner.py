@@ -17,9 +17,8 @@ triples a naive sweep over the whole store would, rule by rule, so the
 sweep count and first-rule credit are those of naive re-evaluation.
 
 Every derivation, including one of a triple already present, still goes
-through :meth:`Graph.insert`: that is the store's one checked write path and
-the one place duplicates are removed, so the reasoner never tests a
-derivation against the store itself.
+through :meth:`Graph.insert`, which checks it and removes duplicates, so the
+reasoner never tests a derivation against the store itself.
 
 Consistency checking reports two defect kinds: an individual typed by both
 halves of an owl:disjointWith pair, and cycles in the asserted subclass

@@ -22,7 +22,7 @@ its id at the first emitted triple that uses it, in subject, predicate,
 object order, with the triples inside a ``[ ... ]`` list emitted before the
 one that uses its node, so ids come out as inserting the triples one by one
 would give them.  Rebinding a prefix or the base forgets the tokens seen so
-far, since it changes what they mean.  Each statement's id-triples are added
+far, since it changes what they mean.  The document's id-triples are added
 to the graph as one batch through :meth:`Graph.add_ids`.
 
 The writer is deterministic: given equal graphs and prefix maps it emits
@@ -100,13 +100,14 @@ class _Parser(TokenParser):
     def __init__(self, text: str, base: Iri | None):
         self.graph = Graph()
         super().__init__(_LEXER, text, self.graph.prefix_map, base)
-        self._used_labels: set[str] = {t.value for t in self.tokens if t.kind == "blank"}  # type: ignore[misc]
+        self._used_labels: set[str] | None = None  # the document's blank labels, once a '[' needs them
         self._anon_counter = 0
         # token kind -> token key -> the term's id, or its _Pending until the
         # term is interned.  A string's key is its text, with its language
         # tag ("langtag") or its datatype token ("dt") when it has one.
         self._memo: dict[str, dict] = {
             kind: {} for kind in (*_OBJECT_KINDS, "a", "string", "langtag", "dt")}
+        self._batch: list[tuple[int, int, int]] = []  # the document's id-triples
 
     def parse(self) -> ParseOutcome:
         while self._peek().kind != "eof":
@@ -121,6 +122,7 @@ class _Parser(TokenParser):
                 self._base_directive(dotted=False)
             else:
                 self._triples_statement()
+        self.graph.add_ids(self._batch)
         return ParseOutcome(graph=self.graph, base_iri=self.base)
 
     def _prefix_directive(self, dotted: bool) -> None:
@@ -149,11 +151,9 @@ class _Parser(TokenParser):
         Its triples are emitted in document order, the triples inside a
         ``[ ... ]`` list before the one that uses the list's node, and each
         term is interned at the first emitted triple that uses it, in
-        subject, predicate, object order.  The statement's id-triples are
-        added to the graph as one batch when it ends.
+        subject, predicate, object order.
         """
-        tokens, memo, intern = self.tokens, self._memo, self._intern
-        batch: list[tuple[int, int, int]] = []
+        tokens, memo, intern, emit = self.tokens, self._memo, self._intern, self._batch.append
         # per open '[': the subject and predicate around it and its token; a
         # list that is the statement's subject has no predicate around it
         frames: list[tuple[object, object, Token]] = []
@@ -164,7 +164,7 @@ class _Parser(TokenParser):
             if tokens[i + 1].kind == "rbracket":
                 i += 2
                 if tokens[i].kind == "dot":
-                    return self._end_statement(i, batch)
+                    return self._end_statement(i)
             else:
                 frames.append((None, None, tok))
                 i += 1
@@ -229,7 +229,7 @@ class _Parser(TokenParser):
                         continue
                 # the predicate-object list ends at tok
                 if not frames:
-                    return self._end_statement(i, batch)
+                    return self._end_statement(i)
                 outer_subject, outer_predicate, open_tok = frames.pop()
                 if tok.kind != "rbracket":
                     raise self._error("']' expected to close blank node property list",
@@ -237,7 +237,7 @@ class _Parser(TokenParser):
                 i += 1
                 if outer_predicate is None:
                     if tokens[i].kind == "dot":
-                        return self._end_statement(i, batch)
+                        return self._end_statement(i)
                     state = _VERB
                     continue
                 obj, subject, predicate = subject, outer_subject, outer_predicate
@@ -247,13 +247,12 @@ class _Parser(TokenParser):
                 predicate = intern(predicate)
             if type(obj) is not int:
                 obj = intern(obj)
-            batch.append((subject, predicate, obj))  # type: ignore[arg-type]
+            emit((subject, predicate, obj))  # type: ignore[arg-type]
             state = _NEXT
 
-    def _end_statement(self, i: int, batch: list[tuple[int, int, int]]) -> None:
+    def _end_statement(self, i: int) -> None:
         self.pos = i
         self._expect("dot", "'.' at end of statement")
-        self.graph.add_ids(batch)
 
     def _build(self, i: int, memo: dict, key: object) -> _Pending:
         """The term spelled from token ``i`` on, built and checked there, and
@@ -280,6 +279,8 @@ class _Parser(TokenParser):
         return pending.id
 
     def _fresh_bnode(self) -> BlankNode:
+        if self._used_labels is None:
+            self._used_labels = {t.value for t in self.tokens if t.kind == "blank"}  # type: ignore[misc]
         while True:
             self._anon_counter += 1
             label = f"b{self._anon_counter}"
