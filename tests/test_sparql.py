@@ -143,6 +143,23 @@ def test_malformed_terms_raise_parse_error_at_the_token(text, line, column):
     assert (exc.value.line, exc.value.column) == (line, column)
 
 
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        # a grammar error on line 1, a lexical one on line 2
+        ('SELECT ?x WHERE { ?x ?p . }\nLIMIT "abc',
+         "line 2, column 7: unterminated string literal (near '\"abc')"),
+        # a term error (unknown prefix) on line 1, a lexical one on line 2
+        ("SELECT ?x WHERE { zz:a ?p ?o }\nLIMIT 1e5",
+         "line 2, column 7: unsupported construct: numeric literal with exponent (near '1e5')"),
+    ],
+)
+def test_a_lexical_error_anywhere_wins_over_an_earlier_error(text, error):
+    with pytest.raises(ParseError) as exc:
+        parse_query(text)
+    assert str(exc.value) == error
+
+
 def test_parse_error_position_is_reported():
     with pytest.raises(ParseError) as exc:
         parse_query("SELECT ?s WHERE { ?s ?p }")

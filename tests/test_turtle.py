@@ -126,6 +126,14 @@ def test_anonymous_blank_nodes_skip_used_labels():
     assert Triple(BlankNode("b2"), Iri(EX + "q"), Iri(EX + "o")) in g
 
 
+def test_anonymous_blank_nodes_skip_labels_used_later_in_the_document():
+    g = parse_turtle("@prefix ex: <http://example.test/t#> .\n"
+                     "ex:s ex:p [ ex:q ex:o ] . _:b1 ex:r ex:t .").graph
+    assert Triple(Iri(EX + "s"), Iri(EX + "p"), BlankNode("b2")) in g
+    assert Triple(BlankNode("b2"), Iri(EX + "q"), Iri(EX + "o")) in g
+    assert Triple(BlankNode("b1"), Iri(EX + "r"), Iri(EX + "t")) in g
+
+
 def test_comments_and_blank_lines_ignored():
     doc = """
     # leading comment
@@ -149,6 +157,23 @@ def test_parse_error_carries_position():
     assert exc.value.line == 1
     assert exc.value.column > 30
     assert "line 1, column" in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "doc, error",
+    [
+        # a grammar error on line 2, a lexical one on line 3
+        ('@prefix ex: <http://e/> .\nex:s ex:p .\nex:a ex:b "abc\n',
+         "line 3, column 15: newline inside single-line string literal (near '\\\\n')"),
+        # a term error (unknown prefix) on line 1, a lexical one on line 2
+        ("zz:s ex:p ex:o .\nex:a ex:b 1e5 .",
+         "line 2, column 11: unsupported construct: numeric literal with exponent (near '1e5')"),
+    ],
+)
+def test_a_lexical_error_anywhere_wins_over_an_earlier_error(doc, error):
+    with pytest.raises(ParseError) as exc:
+        parse_turtle(doc)
+    assert str(exc.value) == error
 
 
 @pytest.mark.parametrize(
