@@ -27,7 +27,10 @@ parsers stand on.
 from __future__ import annotations
 
 import re
+from collections import deque
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
+from typing import TypeVar
 from urllib.parse import urljoin
 
 from .errors import ParseError, RelativeIriError, UnknownPrefixError, UnsupportedConstructError
@@ -50,8 +53,11 @@ _ABSOLUTE_IRI = re.compile(r"^[A-Za-z][A-Za-z0-9+.\-]*:")
 _SKIP = r"(?:[ \t\r\n]+|#[^\n]*)*"
 # Token classes in the order the master regex tries them.  The order matters:
 # IRIs before SPARQL's '<' operator, numbers before punctuation ('.5'),
-# punctuation before names (a '.' never starts one), error classes last.
+# punctuation before words (a '.' never starts one), error classes last.  A
+# prefixed name, the most frequent token, starts with a letter or ':' as no
+# other class before words does, so it is tried first.
 _HEAD = (
+    ("pname", r"(?:[A-Za-z][A-Za-z0-9_.\-]*)?:(?:[A-Za-z0-9_.\-]*[A-Za-z0-9_\-])?"),
     ("long_string", r'"""|\'\'\''),
     ("string", r'"(?:[^"\\\n]|\\.)*"|\'(?:[^\'\\\n]|\\.)*\''),
     ("iriref", r'<[^ \t\r\n<">]*>'),
@@ -62,19 +68,17 @@ _HEAD = (
 )
 _VARIABLE = ("var", r"[?$](?P<name>[A-Za-z_][A-Za-z0-9_]*)?")
 _TAIL = (
-    ("word", r"(?P<prefix>[A-Za-z0-9_.\-]*):(?P<local>(?:[A-Za-z0-9_.\-]*[A-Za-z0-9_\-])?)"
-             r"|[A-Za-z0-9_.\-]*[A-Za-z0-9_\-]"),
+    ("bad_prefix", r"[0-9_.\-][A-Za-z0-9_.\-]*(?=:)"),
+    ("word", r"[A-Za-z0-9_.\-]*[A-Za-z0-9_\-]"),
     ("malformed", r'[<"\']'),
     ("other", r"[\s\S]"),
     ("eof", r"\Z"),
 )
 
 
-@dataclass(slots=True)
-class Token:
-    kind: str
-    value: object
-    start: int  # offset into the source text
+# A token: its kind, its value (decoded or upper-cased text, or None at the
+# end) and its start offset into the source text.
+Token = tuple[str, object, int]
 
 
 def position(text: str, offset: int) -> tuple[int, int]:
@@ -139,64 +143,58 @@ class Lexer:
         self._match = re.compile(_SKIP + "(?:" + "|".join(f"(?P<{n}>{rx})" for n, rx in classes) + ")").match
         self._tag_error = "malformed language tag or directive" if self.directives else "malformed language tag"
 
-    def tokenize(self, text: str) -> list[Token]:
-        """Every token of ``text``, ending with an ``eof`` token; raises ParseError."""
-        tokens: list[Token] = []
-        append = tokens.append
-        # tokens of one prefixed name share one (prefix, local) value, which
-        # keeps a long token list small
-        names: dict[tuple[str, str], tuple[str, str]] = {}
+    def scan(self, text: str) -> Iterator[Token]:
+        """The tokens of ``text``, one per match, scanned as the parser asks
+        for them and ending with an ``eof`` token; raises ParseError at the
+        first malformed token."""
+        match, punctuation = self._match, self.punctuation
         pos = 0
         while True:
-            m = self._match(text, pos)
+            m = match(text, pos)
             group = m.lastgroup
             start, pos = m.span(group)  # the token ends the match
-            if group == "word":
-                name = m.group("prefix", "local")
-                prefix = name[0]
-                if prefix is not None:
-                    if prefix and not prefix[0].isalpha():
-                        raise _error(f"malformed prefix label {prefix!r}", text, start, prefix)
-                    append(Token("pname", names.setdefault(name, name), start))
-                    continue
             source = m[group]
-            if group == "word":
-                append(self._word(text, start, source))
-            elif group == "iriref" or group == "string":
-                append(Token(group, _unquote(text, start, pos), start))
+            if group == "pname":
+                yield "pname", source, start
             elif group == "punct":
-                kind = self.punctuation.get(source)
+                kind = punctuation.get(source)
                 if kind is None:
                     raise UnsupportedConstructError(self.unsupported[source], *position(text, start), source)
-                append(Token(kind, source, start))
-            elif group == "var":
-                if m["name"] is None:
-                    raise _error("variable name expected after '?'", text, start, source)
-                append(Token("var", m["name"], start))
+                yield kind, source, start
+            elif group == "iriref" or group == "string":
+                yield group, _unquote(text, start, pos), start
+            elif group == "langtag":
+                word = source[1:]
+                if word in self.directives:
+                    yield self.directives[word], source, start
+                elif _LANGTAG.fullmatch(word):
+                    yield "langtag", word, start
+                else:
+                    raise _error(f"{self._tag_error} {source}", text, start, source)
             elif group == "number":
                 if text.startswith(("e", "E"), pos):
                     raise UnsupportedConstructError("numeric literal with exponent",
                                                     *position(text, start), text[start:pos + 2])
                 if source in ("+", "-"):
                     raise _error("digits expected in numeric literal", text, start, source)
-                append(Token("decimal" if m["fraction"] else "integer", source, start))
-            elif group == "langtag":
-                word = source[1:]
-                if word in self.directives:
-                    append(Token(self.directives[word], source, start))
-                elif _LANGTAG.fullmatch(word):
-                    append(Token("langtag", word, start))
-                else:
-                    raise _error(f"{self._tag_error} {source}", text, start, source)
+                yield "decimal" if m["fraction"] else "integer", source, start
             elif group == "blank":
                 if m["label"] is None:
                     raise _error("blank node label expected after '_:'", text, start, "_:")
-                append(Token("blank", m["label"], start))
+                yield "blank", m["label"], start
+            elif group == "var":
+                if m["name"] is None:
+                    raise _error("variable name expected after '?'", text, start, source)
+                yield "var", m["name"], start
+            elif group == "word":
+                yield self._word(text, start, source)
             elif group == "dt":
-                append(Token("dt", source, start))
+                yield "dt", source, start
+            elif group == "bad_prefix":
+                raise _error(f"malformed prefix label {source!r}", text, start, source)
             elif group == "eof":
-                append(Token("eof", None, start))
-                return tokens
+                yield "eof", None, start
+                return
             elif group == "long_string":
                 raise UnsupportedConstructError("triple-quoted string literal", *position(text, start), source)
             elif group == "malformed":
@@ -207,54 +205,73 @@ class Lexer:
 
     def _word(self, text: str, start: int, word: str) -> Token:
         if word == "a":
-            return Token("a", word, start)
+            return "a", word, start
         if word in ("true", "false"):
-            return Token("boolean", word, start)
+            return "boolean", word, start
         upper = word.upper()
         if upper in self.unsupported:
             raise UnsupportedConstructError(self.unsupported[upper], *position(text, start), word)
         if upper in self.keywords:
-            return Token(self.keywords[upper], upper, start)
+            return self.keywords[upper], upper, start
         raise _error(f"unexpected token {word!r}", text, start, word)
 
     def source(self, text: str, tok: Token) -> str:
         """The text of a token of ``text``, scanned again from its start."""
-        if tok.kind == "var":
-            return f"?{tok.value}"  # written with '?' even when spelled '$name'
-        return text[tok.start:self._match(text, tok.start).end()]
+        kind, value, start = tok
+        if kind == "var":
+            return f"?{value}"  # written with '?' even when spelled '$name'
+        return text[start:self._match(text, start).end()]
 
 
+T = TypeVar("T")
 _DATATYPES = {"integer": XSD_INTEGER, "decimal": XSD_DECIMAL, "boolean": XSD_BOOLEAN}
 
 
 class TokenParser:
-    """Token cursor and term builders shared by the Turtle and SPARQL parsers."""
+    """Token cursor and term builders shared by the Turtle and SPARQL parsers.
+
+    The cursor is one token of lookahead, ``tok``, over the lexer's stream;
+    ``_next`` pulls the token after it.
+    """
 
     def __init__(self, lexer: Lexer, text: str, prefixes: PrefixMap, base: Iri | None = None):
         self.lexer = lexer
         self.text = text
-        self.tokens = lexer.tokenize(text)
-        self.pos = 0
+        self._stream = lexer.scan(text)
+        self._next: Callable[[], Token] = self._stream.__next__
+        self.tok = self._next()
         self.prefixes = prefixes
         self.base = base
 
-    def _peek(self) -> Token:
-        return self.tokens[self.pos]
+    def _whole_text(self, parse: Callable[[], T]) -> T:
+        """``parse()``, with the rest of the text scanned before its error is
+        raised: a lexical error anywhere wins over an earlier grammar or term
+        error, as it would if the whole text were scanned first."""
+        try:
+            return parse()
+        except Exception as exc:
+            error = exc
+        deque(self._stream, maxlen=0)
+        raise error
+
+    def _at(self, kind: str, value: object = None) -> bool:
+        """Whether the lookahead is a ``kind`` token (with ``value``, if given)."""
+        tok_kind, tok_value, _ = self.tok
+        return tok_kind == kind and (value is None or tok_value == value)
 
     def _take(self) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "eof":
-            self.pos += 1
+        tok = self.tok
+        if tok[0] != "eof":
+            self.tok = self._next()
         return tok
 
     def _expect(self, kind: str, what: str, value: object = None) -> Token:
-        tok = self._peek()
-        if tok.kind != kind or (value is not None and tok.value != value):
-            raise self._error(f"expected {what}", tok)
+        if not self._at(kind, value):
+            raise self._error(f"expected {what}", self.tok)
         return self._take()
 
     def _position(self, tok: Token) -> tuple[int, int]:
-        return position(self.text, tok.start)
+        return position(self.text, tok[2])
 
     def _source(self, tok: Token) -> str:
         return self.lexer.source(self.text, tok)
@@ -264,7 +281,7 @@ class TokenParser:
 
     def _resolve(self, tok: Token) -> Iri:
         """The IRI of an IRIREF token, resolved against the base when relative."""
-        raw: str = tok.value  # type: ignore[assignment]
+        raw: str = tok[1]  # type: ignore[assignment]
         if not _ABSOLUTE_IRI.match(raw):
             if self.base is None:
                 raise RelativeIriError(raw, *self._position(tok))
@@ -274,12 +291,13 @@ class TokenParser:
         except ValueError as exc:
             raise self._error(str(exc), tok) from exc
 
-    def _iri_term(self) -> Iri:
-        tok = self._take()
-        if tok.kind == "iriref":
+    def _iri(self, tok: Token) -> Iri:
+        """The IRI an IRIREF or prefixed-name token spells."""
+        kind, value, _ = tok
+        if kind == "iriref":
             return self._resolve(tok)
-        if tok.kind == "pname":
-            prefix, local = tok.value  # type: ignore[misc]
+        if kind == "pname":
+            prefix, _, local = value.partition(":")  # type: ignore[union-attr]
             ns = self.prefixes.namespace(prefix)
             if ns is None:
                 raise UnknownPrefixError(prefix, *self._position(tok))
@@ -289,33 +307,27 @@ class TokenParser:
     def _prefix_declaration(self) -> None:
         self._take()
         tok = self._expect("pname", "prefix label ending in ':'")
-        prefix, local = tok.value  # type: ignore[misc]
+        prefix, _, local = tok[1].partition(":")  # type: ignore[union-attr]
         if local:
             raise self._error("prefix declaration label must end with ':'", tok)
         self.prefixes.bind(prefix, self._resolve(self._expect("iriref", "namespace IRI")))
 
-    def _datatype(self, dt_tok: Token) -> Iri:
-        return self._iri_term()
-
-    def _literal(self) -> Literal:
-        """A number, a boolean, or a quoted string with an optional @lang or ^^datatype."""
-        tok = self._take()
-        datatype = _DATATYPES.get(tok.kind)
-        if datatype is not None:
-            return Literal(tok.value, datatype)  # type: ignore[arg-type]
-        lexical: str = tok.value  # type: ignore[assignment]
-        nxt = self._peek()
-        if nxt.kind == "langtag":
-            self._take()
+    def _make_literal(self, tok: Token, after: Token | None = None, datatype: Iri | None = None) -> Literal:
+        """The literal of a number, boolean or string token.  ``after`` is a
+        string's language tag or ``^^`` token, and ``datatype`` the IRI that
+        followed the ``^^``."""
+        kind, value, _ = tok
+        fixed = _DATATYPES.get(kind)
+        if fixed is not None:
+            return Literal(value, fixed)  # type: ignore[arg-type]
+        if after is None:
+            return Literal(value, XSD_STRING)  # type: ignore[arg-type]
+        if after[0] == "langtag":
             try:
-                return Literal(lexical, RDF_LANG_STRING, nxt.value)  # type: ignore[arg-type]
+                return Literal(value, RDF_LANG_STRING, after[1])  # type: ignore[arg-type]
             except ValueError as exc:
-                raise self._error(str(exc), nxt) from exc
-        if nxt.kind == "dt":
-            self._take()
-            dt = self._datatype(nxt)
-            try:
-                return Literal(lexical, dt)
-            except ValueError as exc:
-                raise self._error(str(exc), tok) from exc
-        return Literal(lexical, XSD_STRING)
+                raise self._error(str(exc), after) from exc
+        try:
+            return Literal(value, datatype)  # type: ignore[arg-type]
+        except ValueError as exc:
+            raise self._error(str(exc), tok) from exc

@@ -37,7 +37,7 @@ from operator import itemgetter
 
 from .errors import ParseError
 from .graph import Graph, PrefixMap
-from .lexer import Lexer, Token, TokenParser
+from .lexer import Lexer, TokenParser
 from .terms import (
     RDF_TYPE,
     XSD_STRING,
@@ -99,59 +99,61 @@ class _QueryParser(TokenParser):
         super().__init__(_LEXER, text, PrefixMap())
 
     def parse(self) -> Query:
-        while self._peek().kind == "kw" and self._peek().value == "PREFIX":
+        return self._whole_text(self._query)
+
+    def _query(self) -> Query:
+        while self._at("kw", "PREFIX"):
             self._prefix_declaration()
 
         self._expect("kw", "SELECT", "SELECT")
         distinct = False
-        if self._peek().kind == "kw" and self._peek().value == "DISTINCT":
+        if self._at("kw", "DISTINCT"):
             self._take()
             distinct = True
 
         select_vars: list[str] | str
-        if self._peek().kind == "star":
+        if self._at("star"):
             self._take()
             select_vars = "*"
         else:
             names = []
-            while self._peek().kind == "var":
-                names.append(self._take().value)
+            while self._at("var"):
+                names.append(self._take()[1])
             if not names:
-                raise self._error("expected projection variables or '*'", self._peek())
+                raise self._error("expected projection variables or '*'", self.tok)
             select_vars = names  # type: ignore[assignment]
 
-        if self._peek().kind == "kw" and self._peek().value == "WHERE":
+        if self._at("kw", "WHERE"):
             self._take()
         self._expect("lbrace", "'{' opening the WHERE block")
 
         patterns: list[TriplePattern] = []
         filters: list[FilterExpr] = []
         while True:
-            t = self._peek()
-            if t.kind == "rbrace":
+            if self._at("rbrace"):
                 self._take()
                 break
-            if t.kind == "eof":
-                raise self._error("unclosed WHERE block: expected '}'", t)
-            if t.kind == "kw" and t.value == "FILTER":
+            if self._at("eof"):
+                raise self._error("unclosed WHERE block: expected '}'", self.tok)
+            if self._at("kw", "FILTER"):
                 self._take()
                 filters.append(self._filter())
             else:
                 patterns.append(self._triple_pattern())
-            if self._peek().kind == "dot":
+            if self._at("dot"):
                 self._take()
 
         order_by = None
         limit = None
         offset = None
-        while self._peek().kind == "kw":
+        while self._at("kw"):
             kw = self._take()
-            if kw.value == "ORDER":
+            word = kw[1]
+            if word == "ORDER":
                 self._expect("kw", "BY after ORDER", "BY")
                 direction = "asc"
-                t = self._peek()
-                if t.kind == "kw" and t.value in ("ASC", "DESC"):
-                    direction = self._take().value.lower()  # type: ignore[union-attr]
+                if self._at("kw", "ASC") or self._at("kw", "DESC"):
+                    direction = self._take()[1].lower()  # type: ignore[union-attr]
                     self._expect("lparen", "'(' after ASC/DESC")
                     var = self._expect("var", "ORDER BY variable")
                     self._expect("rparen", "')'")
@@ -159,31 +161,30 @@ class _QueryParser(TokenParser):
                     var = self._expect("var", "ORDER BY variable")
                 if order_by is not None:
                     raise self._error("ORDER BY given twice", kw)
-                order_by = (var.value, direction)
-            elif kw.value == "LIMIT":
+                order_by = (var[1], direction)
+            elif word == "LIMIT":
                 tok = self._expect("integer", "LIMIT count")
-                limit = int(tok.value)  # type: ignore[arg-type]
+                limit = int(tok[1])  # type: ignore[arg-type]
                 if limit < 0:
                     raise self._error("LIMIT must be non-negative", tok)
-            elif kw.value == "OFFSET":
+            elif word == "OFFSET":
                 tok = self._expect("integer", "OFFSET count")
-                offset = int(tok.value)  # type: ignore[arg-type]
+                offset = int(tok[1])  # type: ignore[arg-type]
                 if offset < 0:
                     raise self._error("OFFSET must be non-negative", tok)
             else:
-                raise self._error(f"unexpected keyword {kw.value}", kw)
+                raise self._error(f"unexpected keyword {word}", kw)
 
-        t = self._peek()
-        if t.kind != "eof":
-            raise self._error("trailing content after query", t)
+        if not self._at("eof"):
+            raise self._error("trailing content after query", self.tok)
 
         query = Query(
             prefixes=self.prefixes,
-            select_vars=select_vars,
+            select_vars=select_vars,  # type: ignore[arg-type]
             patterns=patterns,
             filters=filters,
             distinct=distinct,
-            order_by=order_by,
+            order_by=order_by,  # type: ignore[arg-type]
             limit=limit,
             offset=offset,
         )
@@ -208,8 +209,7 @@ class _QueryParser(TokenParser):
 
     def _triple_pattern(self) -> TriplePattern:
         s = self._pattern_term(allow_literal=False)
-        t = self._peek()
-        if t.kind == "a":
+        if self._at("a"):
             self._take()
             p: object = RDF_TYPE
         else:
@@ -218,48 +218,55 @@ class _QueryParser(TokenParser):
         return TriplePattern(s, p, o)  # type: ignore[arg-type]
 
     def _pattern_term(self, allow_literal: bool):
-        t = self._peek()
-        if t.kind == "var":
+        kind, value, _ = self.tok
+        if kind == "var":
             self._take()
-            return Var(t.value)  # type: ignore[arg-type]
-        if t.kind in ("iriref", "pname"):
-            return self._iri_term()
-        if t.kind == "blank":
+            return Var(value)  # type: ignore[arg-type]
+        if kind in ("iriref", "pname"):
+            return self._iri(self._take())
+        if kind == "blank":
             self._take()
-            return BlankNode(t.value)  # type: ignore[arg-type]
-        if allow_literal and t.kind in ("string", "integer", "decimal", "boolean"):
+            return BlankNode(value)  # type: ignore[arg-type]
+        if allow_literal and kind in ("string", "integer", "decimal", "boolean"):
             return self._literal()
-        raise self._error("triple pattern term expected", t)
+        raise self._error("triple pattern term expected", self.tok)
 
-    def _datatype(self, dt_tok: Token) -> Iri:
-        dt_term = self._pattern_term(allow_literal=False)
-        if not isinstance(dt_term, Iri):
-            raise self._error("datatype must be an IRI", dt_tok)
-        return dt_term
+    def _literal(self) -> Literal:
+        """A number, a boolean, or a quoted string with an optional @lang or ^^datatype."""
+        tok = self._take()
+        if tok[0] != "string" or not (self._at("langtag") or self._at("dt")):
+            return self._make_literal(tok)
+        after = self._take()
+        if after[0] == "langtag":
+            return self._make_literal(tok, after)
+        datatype = self._pattern_term(allow_literal=False)
+        if not isinstance(datatype, Iri):
+            raise self._error("datatype must be an IRI", after)
+        return self._make_literal(tok, after, datatype)
 
     def _filter(self) -> FilterExpr:
         # FILTER ( ?v op const ) | FILTER regex(?v, "pat") | FILTER ( regex(?v, "pat") )
         outer_paren = False
-        if self._peek().kind == "lparen":
+        if self._at("lparen"):
             self._take()
             outer_paren = True
-        t = self._peek()
-        if t.kind == "kw" and t.value == "REGEX":
+        if self._at("kw", "REGEX"):
             expr = self._regex_filter()
         else:
             if not outer_paren:
-                raise self._error("expected '(' after FILTER", t)
+                raise self._error("expected '(' after FILTER", self.tok)
             var = self._expect("var", "FILTER variable")
             op_tok = self._expect("op", "comparison operator")
-            if op_tok.value not in _COMPARISON_OPS:
-                raise self._error(f"unsupported operator {op_tok.value}", op_tok)
-            const_tok = self._peek()
-            if const_tok.kind == "var":
+            op = op_tok[1]
+            if op not in _COMPARISON_OPS:
+                raise self._error(f"unsupported operator {op}", op_tok)
+            const_tok = self.tok
+            if const_tok[0] == "var":
                 raise self._error("FILTER right-hand side must be a constant", const_tok)
             const = self._pattern_term(allow_literal=True)
             if not isinstance(const, (Iri, Literal, BlankNode)):
                 raise self._error("FILTER constant expected", const_tok)
-            expr = FilterExpr(op=op_tok.value, left=var.value, right=const)  # type: ignore[arg-type]
+            expr = FilterExpr(op=op, left=var[1], right=const)  # type: ignore[arg-type]
         if outer_paren:
             self._expect("rparen", "')' closing FILTER")
         return expr
@@ -271,12 +278,12 @@ class _QueryParser(TokenParser):
         self._expect("comma", "',' between regex arguments")
         pat_tok = self._expect("string", "regex pattern string")
         self._expect("rparen", "')' closing regex")
-        pattern: str = pat_tok.value  # type: ignore[assignment]
+        pattern: str = pat_tok[1]  # type: ignore[assignment]
         try:
             re.compile(pattern)
         except (re.error, OverflowError) as exc:
             raise self._error(f"invalid regex: {exc}", pat_tok) from exc
-        return FilterExpr(op="regex", left=var.value, right=pattern)  # type: ignore[arg-type]
+        return FilterExpr(op="regex", left=var[1], right=pattern)  # type: ignore[arg-type]
 
 
 def parse_query(text: str) -> Query:

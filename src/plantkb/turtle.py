@@ -100,6 +100,7 @@ class _Parser(TokenParser):
     def __init__(self, text: str, base: Iri | None):
         self.graph = Graph()
         super().__init__(_LEXER, text, self.graph.prefix_map, base)
+        self._labels: set[str] = set()  # every blank label read so far
         self._used_labels: set[str] | None = None  # the document's blank labels, once a '[' needs them
         self._anon_counter = 0
         # token kind -> token key -> the term's id, or its _Pending until the
@@ -110,8 +111,13 @@ class _Parser(TokenParser):
         self._batch: list[tuple[int, int, int]] = []  # the document's id-triples
 
     def parse(self) -> ParseOutcome:
-        while self._peek().kind != "eof":
-            kind = self._peek().kind
+        return self._whole_text(self._document)
+
+    def _document(self) -> ParseOutcome:
+        while True:
+            kind = self.tok[0]
+            if kind == "eof":
+                break
             if kind == "prefix_directive":
                 self._prefix_directive(dotted=True)
             elif kind == "base_directive":
@@ -151,93 +157,108 @@ class _Parser(TokenParser):
         Its triples are emitted in document order, the triples inside a
         ``[ ... ]`` list before the one that uses the list's node, and each
         term is interned at the first emitted triple that uses it, in
-        subject, predicate, object order.
+        subject, predicate, object order.  ``tok`` is the token being read;
+        the loop pulls the next one from the stream itself.
         """
-        tokens, memo, intern, emit = self.tokens, self._memo, self._intern, self._batch.append
+        memo, intern, emit, build = self._memo, self._intern, self._batch.append, self._build
         # per open '[': the subject and predicate around it and its token; a
         # list that is the statement's subject has no predicate around it
         frames: list[tuple[object, object, Token]] = []
-        i = self.pos
-        tok = tokens[i]
-        if tok.kind == "lbracket":
+        tok = self.tok
+        kind, value, _ = tok
+        if kind == "lbracket":
             subject: object = _Pending(self._fresh_bnode())
-            if tokens[i + 1].kind == "rbracket":
-                i += 2
-                if tokens[i].kind == "dot":
-                    return self._end_statement(i)
+            next = self._next  # _fresh_bnode may have moved the stream to a buffer
+            open_tok, tok = tok, next()
+            if tok[0] == "rbracket":
+                tok = next()
+                if tok[0] == "dot":
+                    return self._end_statement(tok)
             else:
-                frames.append((None, None, tok))
-                i += 1
-        elif tok.kind in _SUBJECT_KINDS:
-            subject = memo[tok.kind].get(tok.value)
+                frames.append((None, None, open_tok))
+        elif kind in _SUBJECT_KINDS:
+            next = self._next
+            subject = memo[kind].get(value)
             if subject is None:
-                subject = self._build(i, memo[tok.kind], tok.value)
-            i += 1
+                subject = build(memo[kind], value, tok)
+            tok = next()
         else:
             raise self._error("subject expected (IRI or blank node)", tok)
 
         state = _VERB
         while True:
-            tok = tokens[i]
-            kind = tok.kind
+            kind, value, _ = tok
             if state == _VERB:
                 if kind not in _VERB_KINDS:
                     raise self._error("predicate expected (IRI or 'a')", tok)
-                predicate = memo[kind].get(tok.value)
+                predicate = memo[kind].get(value)
                 if predicate is None:
-                    predicate = self._build(i, memo[kind], tok.value)
-                i += 1
+                    predicate = build(memo[kind], value, tok)
+                tok = next()
                 state = _OBJECT
                 continue
             if state == _OBJECT:
                 if kind == "lbracket":
                     obj = _Pending(self._fresh_bnode())
-                    if tokens[i + 1].kind != "rbracket":
-                        frames.append((subject, predicate, tok))
+                    next = self._next
+                    open_tok, tok = tok, next()
+                    if tok[0] != "rbracket":
+                        frames.append((subject, predicate, open_tok))
                         subject = obj
-                        i += 1
                         state = _VERB
                         continue
-                    i += 2
-                else:
-                    key, width = tok.value, 1
-                    if kind == "string":
-                        after = tokens[i + 1]
-                        if after.kind == "langtag":
-                            kind, key, width = "langtag", (key, after.value), 2
-                        elif after.kind == "dt":
-                            dt = tokens[i + 2]
-                            kind, key, width = "dt", (key, dt.kind, dt.value), 3
-                    elif kind not in _OBJECT_KINDS:
-                        raise self._error("object expected", tok)
-                    obj = memo[kind].get(key)
+                    tok = next()
+                elif kind == "string":
+                    after = next()
+                    after_kind = after[0]
+                    if after_kind == "langtag":
+                        key = (value, after[1])
+                        obj = memo["langtag"].get(key)
+                        if obj is None:
+                            obj = build(memo["langtag"], key, tok, after)
+                        tok = next()
+                    elif after_kind == "dt":
+                        dt = next()
+                        key = (value, dt[0], dt[1])
+                        obj = memo["dt"].get(key)
+                        if obj is None:
+                            obj = build(memo["dt"], key, tok, after, dt)
+                        tok = next()
+                    else:
+                        obj = memo["string"].get(value)
+                        if obj is None:
+                            obj = build(memo["string"], value, tok)
+                        tok = after
+                elif kind in _OBJECT_KINDS:
+                    obj = memo[kind].get(value)
                     if obj is None:
-                        obj = self._build(i, memo[kind], key)
-                    i += width
+                        obj = build(memo[kind], value, tok)
+                    tok = next()
+                else:
+                    raise self._error("object expected", tok)
             else:  # after an object
                 if kind == "comma":
-                    i += 1
+                    tok = next()
                     state = _OBJECT
                     continue
                 if kind == "semi":
-                    i += 1
-                    while tokens[i].kind == "semi":
-                        i += 1
-                    tok = tokens[i]
-                    if tok.kind not in _LIST_ENDS:
+                    tok = next()
+                    while tok[0] == "semi":
+                        tok = next()
+                    if tok[0] not in _LIST_ENDS:
                         state = _VERB
                         continue
                 # the predicate-object list ends at tok
                 if not frames:
-                    return self._end_statement(i)
+                    return self._end_statement(tok)
                 outer_subject, outer_predicate, open_tok = frames.pop()
-                if tok.kind != "rbracket":
+                if tok[0] != "rbracket":
                     raise self._error("']' expected to close blank node property list",
                                       open_tok, self._source(tok))
-                i += 1
+                tok = next()
                 if outer_predicate is None:
-                    if tokens[i].kind == "dot":
-                        return self._end_statement(i)
+                    if tok[0] == "dot":
+                        return self._end_statement(tok)
                     state = _VERB
                     continue
                 obj, subject, predicate = subject, outer_subject, outer_predicate
@@ -250,23 +271,25 @@ class _Parser(TokenParser):
             emit((subject, predicate, obj))  # type: ignore[arg-type]
             state = _NEXT
 
-    def _end_statement(self, i: int) -> None:
-        self.pos = i
+    def _end_statement(self, tok: Token) -> None:
+        self.tok = tok
         self._expect("dot", "'.' at end of statement")
 
-    def _build(self, i: int, memo: dict, key: object) -> _Pending:
-        """The term spelled from token ``i`` on, built and checked there, and
-        kept under ``key`` until it is interned."""
-        self.pos = i
-        kind = self.tokens[i].kind
+    def _build(self, memo: dict, key: object, tok: Token,
+               after: Token | None = None, dt: Token | None = None) -> _Pending:
+        """The term that ``tok`` spells (a string with its language tag or
+        ``^^`` token ``after`` and datatype token ``dt``), built and checked
+        there, and kept under ``key`` until it is interned."""
+        kind, value, _ = tok
         if kind == "a":
             term: Term = RDF_TYPE
         elif kind == "blank":
-            term = BlankNode(self.tokens[i].value)  # type: ignore[arg-type]
+            term = BlankNode(value)  # type: ignore[arg-type]
+            self._labels.add(value)  # type: ignore[arg-type]
         elif kind in ("iriref", "pname"):
-            term = self._iri_term()
+            term = self._iri(tok)
         else:
-            term = self._literal()
+            term = self._make_literal(tok, after, None if dt is None else self._iri(dt))
         pending = memo[key] = _Pending(term, memo, key)
         return pending
 
@@ -279,14 +302,22 @@ class _Parser(TokenParser):
         return pending.id
 
     def _fresh_bnode(self) -> BlankNode:
+        """A blank node whose label no ``_:label`` in the document uses.
+
+        The first call scans the rest of the text into a buffer, which the
+        parser then reads, to find the labels still to come.
+        """
         if self._used_labels is None:
-            self._used_labels = {t.value for t in self.tokens if t.kind == "blank"}  # type: ignore[misc]
+            rest = list(self._stream)
+            self._next = iter(rest).__next__
+            self._used_labels = self._labels | {value for kind, value, _ in rest if kind == "blank"}  # type: ignore[misc]
         while True:
             self._anon_counter += 1
             label = f"b{self._anon_counter}"
             if label not in self._used_labels:
                 self._used_labels.add(label)
                 return BlankNode(label)
+
 
 def parse_turtle(text: str, base: Iri | str | None = None) -> ParseOutcome:
     """Parse a Turtle document into a fresh :class:`Graph`.
