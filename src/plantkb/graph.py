@@ -201,9 +201,13 @@ class Graph:
         if not isinstance(t.predicate, Iri):
             raise MalformedTripleError("predicate must be an IRI")
         self._check_writable()
+        subject, predicate, obj = t.subject, t.predicate, t.object
+        lookup = self._term_to_id.get
         with self._write_lock:
-            ids = (self._intern(t.subject), self._intern(t.predicate), self._intern(t.object))
-            return self._add((ids,)) == 1
+            s, p, o = lookup(subject), lookup(predicate), lookup(obj)
+            if s is None or p is None or o is None:
+                s, p, o = self._intern(subject), self._intern(predicate), self._intern(obj)
+            return self._add(((s, p, o),)) == 1
 
     def add_ids(self, batch: Iterable[tuple[int, int, int]]) -> int:
         """Add ``(s, p, o)`` id-triples of terms this graph interned; returns

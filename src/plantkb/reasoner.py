@@ -16,9 +16,13 @@ then appends its own new triples to them.  A sweep derives exactly the new
 triples a naive sweep over the whole store would, rule by rule, so the
 sweep count and first-rule credit are those of naive re-evaluation.
 
-Every derivation, including one of a triple already present, still goes
-through :meth:`Graph.insert`, which checks it and removes duplicates, so the
-reasoner never tests a derivation against the store itself.
+Rules derive id-triples.  Each distinct id-triple a sweep derives goes
+through :meth:`Graph.insert` once, credited to the first rule in RuleId
+order that derived it; one already in the store goes there too, and
+:meth:`Graph.insert` checks it and drops the duplicate, so the reasoner never
+tests a derivation against the store itself.  A rule constant the store has
+not interned yet (rdf:type, rdfs:subClassOf, owl:Thing can be derived
+before they are stored) has a stand-in id until its first insert.
 
 Consistency checking reports two defect kinds: an individual typed by both
 halves of an owl:disjointWith pair, and cycles in the asserted subclass
@@ -115,14 +119,33 @@ def _add(tables: dict[int, _Table], triples: Iterable[tuple[int, int, int]]) -> 
     return tables
 
 
+# the constants the rules read or derive, in the order _derive takes their ids
+_CONSTANTS = (RDFS_SUBCLASSOF, RDF_TYPE, RDFS_DOMAIN, RDFS_RANGE, RDFS_SUBPROPERTYOF, OWL_INVERSE_OF,
+              OWL_CLASS, OWL_TRANSITIVE_PROPERTY, OWL_SYMMETRIC_PROPERTY, OWL_THING)
+
+
+def _constant_ids(graph: Graph, terms: list[Term]) -> list[int]:
+    """The ids of ``_CONSTANTS``; a constant the graph has not interned gets
+    a stand-in id past its terms, with the term appended to ``terms``."""
+    ids = []
+    for constant in _CONSTANTS:
+        tid = graph.term_id(constant)
+        if tid is None:
+            tid = len(terms)
+            terms.append(constant)
+        ids.append(tid)
+    return ids
+
+
 def _derive(
-    graph: Graph,
     terms: list[Term],
+    constants: list[int],
     tables: dict[int, _Table],
     delta: dict[int, _Table],
     new: set[tuple[int, int, int]],
-) -> list[tuple[Triple, RuleId]]:
-    """One sweep: the triples each rule derives with a premise among ``new``.
+) -> dict[tuple[int, int, int], RuleId]:
+    """One sweep: each id-triple a rule derives with a premise among ``new``,
+    with the first rule that derived it.
 
     ``tables`` hold every triple derived so far and ``delta`` the ones in
     ``new``, the previous sweep's additions (on the first sweep, the whole
@@ -130,14 +153,12 @@ def _derive(
     full tables for the premises after it and old triples (not in ``new``)
     for the premises before it, so each instance of a rule's premises is
     joined once per sweep.  Rules run in RuleId order, which decides
-    first-rule credit.
+    first-rule credit.  ``terms`` maps ids to terms and ``constants`` gives
+    the ids of ``_CONSTANTS``.
     """
-    out: list[tuple[Triple, RuleId]] = []
-    ids = graph.term_id
-    SC, TY, DOM, RNG, SP, INV = (ids(t) for t in (
-        RDFS_SUBCLASSOF, RDF_TYPE, RDFS_DOMAIN, RDFS_RANGE, RDFS_SUBPROPERTYOF, OWL_INVERSE_OF))
-    CLASS, TRANS, SYM, THING = (ids(t) for t in (
-        OWL_CLASS, OWL_TRANSITIVE_PROPERTY, OWL_SYMMETRIC_PROPERTY, OWL_THING))
+    out: dict[tuple[int, int, int], RuleId] = {}
+    derive = out.setdefault
+    SC, TY, DOM, RNG, SP, INV, CLASS, TRANS, SYM, THING = constants
 
     def table(p: int | None) -> _Table:
         return tables.get(p, _EMPTY)
@@ -159,13 +180,13 @@ def _derive(
         for b in bs:
             for c in sc.succ.get(b, ()):
                 if c != a:
-                    out.append((Triple(terms[a], RDFS_SUBCLASSOF, terms[c]), rule))
+                    derive((a, SC, c), rule)
     for b, cs in dsc.succ.items():
         olds = [a for a in sc.pred.get(b, ()) if (a, SC, b) not in new]
         for c in cs:
             for a in olds:
                 if c != a:
-                    out.append((Triple(terms[a], RDFS_SUBCLASSOF, terms[c]), rule))
+                    derive((a, SC, c), rule)
 
     # 2. x type A, A subClassOf B => x type B
     # Literals are never subjects, so a literal A has no supers.
@@ -173,12 +194,12 @@ def _derive(
     for x, as_ in dty.succ.items():
         for a in as_:
             for b in sc.succ.get(a, ()):
-                out.append((Triple(terms[x], RDF_TYPE, terms[b]), rule))
+                derive((x, TY, b), rule)
     for a, bs in dsc.succ.items():
         olds = [x for x in ty.pred.get(a, ()) if (x, TY, a) not in new]
         for b in bs:
             for x in olds:
-                out.append((Triple(terms[x], RDF_TYPE, terms[b]), rule))
+                derive((x, TY, b), rule)
 
     # 3. p domain C, x p y => x type C
     # Only IRIs are predicates, so a non-IRI p has no pairs.
@@ -188,12 +209,12 @@ def _derive(
         xs = table(p).succ
         for c in cs:
             for x in xs:
-                out.append((Triple(terms[x], RDF_TYPE, terms[c]), rule))
+                derive((x, TY, c), rule)
     for p, d in delta.items():
         for c in dom.succ.get(p, ()):
             if (p, DOM, c) not in new:
                 for x in d.succ:
-                    out.append((Triple(terms[x], RDF_TYPE, terms[c]), rule))
+                    derive((x, TY, c), rule)
 
     # 4. p range C, C type owl:Class, x p y => y type C, unless y is a literal
     rule = RuleId.RANGE_INFER
@@ -205,17 +226,17 @@ def _derive(
         for c in cs:
             if c in declared:
                 for y in ys:
-                    out.append((Triple(terms[y], RDF_TYPE, terms[c]), rule))
+                    derive((y, TY, c), rule)
     for c in newly_declared:
         for p in rng.pred.get(c, ()):
             if (p, RNG, c) not in new:
                 for y in not_literal(table(p).pred):
-                    out.append((Triple(terms[y], RDF_TYPE, terms[c]), rule))
+                    derive((y, TY, c), rule)
     for p, d in delta.items():
         for c in rng.succ.get(p, ()):
             if (p, RNG, c) not in new and c in declared and (c, TY, CLASS) not in new:
                 for y in not_literal(d.pred):
-                    out.append((Triple(terms[y], RDF_TYPE, terms[c]), rule))
+                    derive((y, TY, c), rule)
 
     # 5. p subPropertyOf q, x p y => x q y
     rule = RuleId.SUBPROP_INHERIT
@@ -226,13 +247,13 @@ def _derive(
             if iri(q):
                 for x, ys in xys.items():
                     for y in ys:
-                        out.append((Triple(terms[x], terms[q], terms[y]), rule))
+                        derive((x, q, y), rule)
     for p, d in delta.items():
         for q in sp.succ.get(p, ()):
             if iri(q) and (p, SP, q) not in new:
                 for x, ys in d.succ.items():
                     for y in ys:
-                        out.append((Triple(terms[x], terms[q], terms[y]), rule))
+                        derive((x, q, y), rule)
 
     # 6. p transitive, x p y, y p z => x p z
     rule = RuleId.TRANSITIVE_PROP
@@ -241,7 +262,7 @@ def _derive(
         for x, ys in t.succ.items():
             for y in ys:
                 for z in t.succ.get(y, ()):
-                    out.append((Triple(terms[x], terms[p], terms[z]), rule))
+                    derive((x, p, z), rule)
     for p in ty.pred.get(TRANS, ()):
         d = delta.get(p)
         if d is None or (p, TY, TRANS) in new:
@@ -250,12 +271,12 @@ def _derive(
         for x, ys in d.succ.items():
             for y in ys:
                 for z in t.succ.get(y, ()):
-                    out.append((Triple(terms[x], terms[p], terms[z]), rule))
+                    derive((x, p, z), rule)
         for y, zs in d.succ.items():
             olds = [x for x in t.pred.get(y, ()) if (x, p, y) not in new]
             for z in zs:
                 for x in olds:
-                    out.append((Triple(terms[x], terms[p], terms[z]), rule))
+                    derive((x, p, z), rule)
 
     # 7. p inverseOf q, x p y => y q x, unless y is a literal
     rule = RuleId.INVERSE_PROP
@@ -266,33 +287,33 @@ def _derive(
             if iri(q):
                 for x, ys in xys.items():
                     for y in not_literal(ys):
-                        out.append((Triple(terms[y], terms[q], terms[x]), rule))
+                        derive((y, q, x), rule)
     for p, d in delta.items():
         for q in inv.succ.get(p, ()):
             if iri(q) and (p, INV, q) not in new:
                 for x, ys in d.succ.items():
                     for y in not_literal(ys):
-                        out.append((Triple(terms[y], terms[q], terms[x]), rule))
+                        derive((y, q, x), rule)
 
     # 8. p symmetric, x p y => y p x, unless y is a literal
     rule = RuleId.SYMMETRIC_PROP
     for p in dty.pred.get(SYM, ()):
         for x, ys in table(p).succ.items():
             for y in not_literal(ys):
-                out.append((Triple(terms[y], terms[p], terms[x]), rule))
+                derive((y, p, x), rule)
     for p in ty.pred.get(SYM, ()):
         d = delta.get(p)
         if d is None or (p, TY, SYM) in new:
             continue
         for x, ys in d.succ.items():
             for y in not_literal(ys):
-                out.append((Triple(terms[y], terms[p], terms[x]), rule))
+                derive((y, p, x), rule)
 
     # 9. C type owl:Class => C subClassOf owl:Thing
     rule = RuleId.THING_MEMBERSHIP
     for c in newly_declared:
         if c != THING:
-            out.append((Triple(terms[c], RDFS_SUBCLASSOF, OWL_THING), rule))
+            derive((c, SC, THING), rule)
 
     return out
 
@@ -312,6 +333,7 @@ def materialize(graph: Graph) -> InferenceResult:
     tables = delta = _add({}, stored)
     new = set(stored)
     provenance: dict[Triple, RuleId] = {}
+    insert = graph.insert
     iterations = 0
     while True:
         iterations += 1
@@ -319,16 +341,23 @@ def materialize(graph: Graph) -> InferenceResult:
             raise RuntimeError(
                 f"materialization exceeded the iteration cap ({cap}); rule set is not converging"
             )
+        interned = len(terms)
+        constants = _constant_ids(graph, terms)
         fresh = []
-        for triple, rule in _derive(graph, terms, tables, delta, new):
-            if graph.insert(triple):
+        for ids, rule in _derive(terms, constants, tables, delta, new).items():
+            s, p, o = ids
+            triple = Triple(terms[s], terms[p], terms[o])
+            if insert(triple):
                 provenance[triple] = rule
-                fresh.append(triple)
+                fresh.append(ids)
         if not fresh:
             break
+        if len(terms) > interned:  # stand-ins: use the ids their inserts gave
+            real = {i: graph.term_id(terms[i]) for i in range(interned, len(terms))}
+            fresh = [(real.get(s, s), real.get(p, p), real.get(o, o)) for s, p, o in fresh]
+            del terms[interned:]
         terms.extend(graph.term(i) for i in range(len(terms), graph.term_count()))
-        ids = graph.term_id
-        new = {(ids(t.subject), ids(t.predicate), ids(t.object)) for t in fresh}
+        new = set(fresh)
         delta = _add({}, new)
         _add(tables, new)
 

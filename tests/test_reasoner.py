@@ -277,6 +277,42 @@ def test_fixture_materialization_makes_fewer_insert_attempts(monkeypatch):
     assert len(new) == 46 < len(attempts) < 211
 
 
+def test_each_distinct_derivation_of_a_sweep_is_inserted_once(monkeypatch):
+    g = fixture_graph("arabidopsis")
+    attempts, new = [], []
+    real = Graph.insert
+
+    def counting(self, triple):
+        added = real(self, triple)
+        attempts.append(triple)
+        new.extend([triple] if added else [])
+        return added
+
+    monkeypatch.setattr(Graph, "insert", counting)
+    materialize(g)
+    # a triple derived twice in one sweep (by two rules, or one rule twice)
+    # reaches insert once; one derived again in a later sweep reaches it again
+    assert (len(attempts), len(new)) == (66, 46)
+
+
+def test_constants_the_store_lacks_are_derived_and_joined_on():
+    # the first sweep derives a constant the store has no id for yet; the
+    # second sweep joins on the triples that use it
+    p, c, d, x, y = iri("p"), iri("C"), iri("D"), iri("x"), iri("y")
+    res = materialize(build(Triple(p, RDFS_DOMAIN, c), Triple(x, p, y), Triple(c, RDFS_SUBCLASSOF, d)))
+    assert res.provenance == {  # no rdf:type stored
+        Triple(x, RDF_TYPE, c): RuleId.DOMAIN_INFER,
+        Triple(x, RDF_TYPE, d): RuleId.TYPE_INHERIT,
+    }
+    assert res.iterations == 3
+    res = materialize(build(Triple(c, RDF_TYPE, OWL_CLASS), Triple(x, RDF_TYPE, c)))
+    assert res.provenance == {  # neither rdfs:subClassOf nor owl:Thing stored
+        Triple(c, RDFS_SUBCLASSOF, OWL_THING): RuleId.THING_MEMBERSHIP,
+        Triple(x, RDF_TYPE, OWL_THING): RuleId.TYPE_INHERIT,
+    }
+    assert res.iterations == 3
+
+
 # SHA-256 of each materialize result (provenance items, iterations, rule
 # counts, and the graph's term-id table), recorded with naive re-evaluation.
 _FIXTURE_DIGESTS = {
