@@ -1,7 +1,7 @@
 """plantkb command line: validate, infer, query, serve, export.
 
 Exit codes: 0 success; 1 error-severity findings or an inconsistency;
-2 usage errors, unreadable files, or Turtle/query syntax errors.
+2 usage errors, unreadable or non-UTF-8 files, or Turtle/query syntax errors.
 """
 
 from __future__ import annotations
@@ -179,6 +179,8 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (OSError, ParseError, UnknownPrefixError) as exc:
         return _fail(str(exc), 2)
+    except UnicodeDecodeError as exc:
+        return _fail(f"input is not UTF-8 text: {exc.reason} at byte {exc.start}", 2)
 
 
 def entry_point() -> None:

@@ -37,7 +37,9 @@ from .errors import ParseError, RelativeIriError, UnknownPrefixError, Unsupporte
 from .graph import PrefixMap
 from .terms import RDF_LANG_STRING, XSD_BOOLEAN, XSD_DECIMAL, XSD_INTEGER, XSD_STRING, Iri, Literal
 
-_UCHAR = r"\\u[0-9A-Fa-f]{4}|\\U00(?:0[0-9A-Fa-f]|10)[0-9A-Fa-f]{4}"
+# a \u or \U escape of a code point up to U+10FFFF that is not a surrogate
+# (U+D800-U+DFFF), which no UTF-8 text can hold
+_UCHAR = r"\\u(?![Dd][89A-Fa-f])[0-9A-Fa-f]{4}|\\U00(?!00[Dd][89A-Fa-f])(?:0[0-9A-Fa-f]|10)[0-9A-Fa-f]{4}"
 # The valid body of a quoted token, keyed by its opening character.  A body
 # match stops at the first character that makes the token malformed.
 _BODY = {

@@ -356,11 +356,17 @@ def _escape_string(s: str) -> str:
     return "".join(out)
 
 
+def _iri_ref(iri: Iri) -> str:
+    """``<...>`` text that reads back as ``iri``; a backslash would start an
+    escape there, so it is written as ``\\u005C``."""
+    return "<" + iri.value.replace("\\", "\\u005C") + ">"
+
+
 def _render_iri(iri: Iri, pm: PrefixMap) -> str:
     compact = pm.compact(iri)
     if compact is not None:
         return compact
-    return f"<{iri.value}>"
+    return _iri_ref(iri)
 
 
 def _render_term(term: Term, pm: PrefixMap) -> str:
@@ -388,7 +394,7 @@ def serialize_turtle(graph: Graph, prefix_map: PrefixMap | None = None) -> str:
     pm = prefix_map if prefix_map is not None else graph.prefix_map
     lines = []
     for prefix, ns in pm.items():
-        lines.append(f"@prefix {prefix}: <{ns.value}> .")
+        lines.append(f"@prefix {prefix}: {_iri_ref(ns)} .")
 
     # Each distinct term is keyed and rendered once.  Distinct terms have
     # distinct sort keys, so sorting triples of ranks gives the order of

@@ -151,6 +151,27 @@ def test_query_malformed_number_exits_2_without_traceback(capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("args", [
+    ["validate", "TTL"],
+    ["infer", "TTL", "--out", "OUT"],
+    ["query", "TTL", "--query", "SELECT ?s WHERE { ?s ?p ?o }"],
+    ["query", CLEAN, "--query-file", "RQ"],
+    ["export", "TTL", "--mode", "classes"],
+    ["serve", "TTL", "--bind", "127.0.0.1:0"],
+])
+def test_input_that_is_not_utf8_exits_2_without_traceback(args, tmp_path, capsys):
+    # Latin-1 bytes: 0xe9 ('é') is not a UTF-8 continuation of what precedes it
+    ttl = tmp_path / "latin1.ttl"
+    ttl.write_bytes('<http://e.test/s> <http://e.test/p> "caf\u00e9" .\n'.encode("latin-1"))
+    rq = tmp_path / "latin1.rq"
+    rq.write_bytes('SELECT ?s WHERE { ?s ?p "caf\u00e9" }'.encode("latin-1"))
+    paths = {"TTL": str(ttl), "RQ": str(rq), "OUT": str(tmp_path / "out.ttl")}
+    assert main([paths.get(a, a) for a in args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: input is not UTF-8 text: ")
+    assert "Traceback" not in err
+
+
 def test_query_flags_are_mutually_exclusive(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["query", CLEAN, "--query", "x", "--query-file", "y"])

@@ -135,6 +135,8 @@ def test_assorted_parse_errors():
         ("SELECT ?x WHERE { _:-x ?p ?x }", 1, 19),
         ("SELECT ?1 WHERE { ?1 ?p ?o }", 1, 8),
         ('SELECT ?x WHERE { ?x ?p ?o . FILTER regex(?o, "a{4294967296}") }', 1, 47),
+        ('SELECT ?x WHERE { ?x ?p "a\\uD800" }', 1, 25),
+        ("SELECT ?x WHERE { ?x ?p <http://e/\\U0000DFFF> }", 1, 25),
     ],
 )
 def test_malformed_terms_raise_parse_error_at_the_token(text, line, column):

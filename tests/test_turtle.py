@@ -183,6 +183,12 @@ def test_a_lexical_error_anywhere_wins_over_an_earlier_error(doc, error):
         ("_:.x <http://e.test/p> <http://e.test/o> .", 1, 1),
         ("<http://e.test/s> <http://e.test/p>\n  <http://e.test/\\u0020> .", 2, 3),
         ("<http://e.test/s> <http://e.test/p> <http://e.test/\\UFFFFFFFF> .", 1, 37),
+        # surrogate code points, which no UTF-8 output can hold
+        ('<http://e.test/s> <http://e.test/p> "a\\uD800b" .', 1, 37),
+        ('<http://e.test/s> <http://e.test/p> "\\udfff" .', 1, 37),
+        ('<http://e.test/s> <http://e.test/p> "\\U0000DBFF" .', 1, 37),
+        ("<http://e.test/s> <http://e.test/p>\n  <http://e.test/\\uDC00> .", 2, 3),
+        ("<http://e.test/s\\U0000D800> <http://e.test/p> <http://e.test/o> .", 1, 1),
     ],
 )
 def test_malformed_terms_raise_parse_error_at_the_token(doc, line, column):
@@ -261,6 +267,23 @@ def test_random_round_trips():
             g.insert(tr)
         back = parse_turtle(serialize_turtle(g)).graph
         assert back == g
+
+
+def test_backslash_in_an_iri_is_written_escaped_and_reads_back():
+    # written raw, <http://e.test/a\b> re-read as the invalid escape \b
+    doc = ("@prefix w: <http://e.test/w\\u005C/> .\n"
+           "<http://e.test/a\\u005Cb> <http://e.test/p> w:x , <http://e.test/w\\u005C/y#z> .")
+    out = parse_turtle(doc)
+    assert Triple(Iri("http://e.test/a\\b"), Iri("http://e.test/p"), Iri("http://e.test/w\\/x")) in out.graph
+    text = serialize_turtle(out.graph, out.prefixes)
+    assert text == (
+        "@prefix w: <http://e.test/w\\u005C/> .\n"
+        "\n"
+        "<http://e.test/a\\u005Cb> <http://e.test/p> w:x, <http://e.test/w\\u005C/y#z> .\n"
+    )
+    again = parse_turtle(text)
+    assert again.graph == out.graph
+    assert again.prefixes.items() == out.prefixes.items()
 
 
 def test_round_trip_with_blank_nodes_and_prefixes():
