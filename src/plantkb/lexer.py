@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from typing import TypeVar
 from urllib.parse import urljoin
 
-from .errors import ParseError, RelativeIriError, UnknownPrefixError, UnsupportedConstructError
+from .errors import ParseError, PlantKbError, RelativeIriError, UnknownPrefixError, UnsupportedConstructError
 from .graph import PrefixMap
 from .terms import RDF_LANG_STRING, XSD_BOOLEAN, XSD_DECIMAL, XSD_INTEGER, XSD_STRING, Iri, Literal
 
@@ -251,7 +251,7 @@ class TokenParser:
         error, as it would if the whole text were scanned first."""
         try:
             return parse()
-        except Exception as exc:
+        except PlantKbError as exc:
             error = exc
         deque(self._stream, maxlen=0)
         raise error
