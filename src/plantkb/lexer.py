@@ -13,15 +13,24 @@ expression of named groups scans the token classes both languages share
     integer, decimal                    exponents are an unsupported construct
     language tag ``@tag``, ``^^``, and the words ``a``, ``true``, ``false``
 
+A ``\\u``/``\\U`` escape of a surrogate code point (U+D800-U+DFFF) is
+malformed, as is one past U+10FFFF.
+
 Each grammar adds a small table: its punctuation, its case-insensitive
 keywords, the constructs it rejects by name, its ``@`` directives, and
-whether ``?var``/``$var`` variables exist.  Tokens carry their start offset
-and no source text; line, column and the text are recovered from the offset
-only when an error is raised.
+whether ``?var``/``$var`` variables exist.
 
-:class:`TokenParser` is the token cursor and the term builders (IRIs,
-prefixed names, ``PREFIX`` declarations, literals) that both recursive-descent
-parsers stand on.
+:meth:`Lexer.scan` is a stream: it yields one ``(kind, value, start)`` tuple
+per match as the parser asks for the next token, and no token list is built.
+A token carries its start offset and no source text; line, column and the
+text are recovered from the offset only when an error is raised.
+
+:class:`TokenParser` is the cursor, one token of lookahead over that stream,
+and the term builders (IRIs, prefixed names, ``PREFIX`` declarations,
+literals) that both recursive-descent parsers stand on.  A parse that fails
+scans the rest of the text before it raises, so a lexical error anywhere in
+the text is reported over an earlier grammar or term error, as if the whole
+text had been scanned first.
 """
 
 from __future__ import annotations

@@ -14,16 +14,20 @@ exponents all raise :class:`UnsupportedConstructError` naming the construct.
 The lexical subset (IRIs, strings, escapes, names, numbers) is defined once,
 in :mod:`plantkb.lexer`, and shared with the SPARQL parser.
 
-The reader works on term ids.  Each distinct token (a prefixed name, an
-IRI reference, a blank node label, a literal with its tag or datatype) is
-built into a term and checked once, where it first occurs; a repeat of the
-token reuses the term's id.  Ids are assigned in emission order: a term gets
-its id at the first emitted triple that uses it, in subject, predicate,
-object order, with the triples inside a ``[ ... ]`` list emitted before the
-one that uses its node, so ids come out as inserting the triples one by one
-would give them.  Rebinding a prefix or the base forgets the tokens seen so
-far, since it changes what they mean.  The document's id-triples are added
-to the graph as one batch through :meth:`Graph.add_ids`.
+The reader makes one pass over the lexer's token stream and works on term
+ids.  Each distinct token (a prefixed name, an IRI reference, a blank node
+label, a literal with its tag or datatype) is built into a term and checked
+once, where it first occurs; a repeat of the token reuses the term's id.
+Ids are assigned in emission order: a term gets its id at the first emitted
+triple that uses it, in subject, predicate, object order, with the triples
+inside a ``[ ... ]`` list emitted before the one that uses its node, so
+ids come out as inserting the triples one by one would give them.
+Rebinding a prefix or the base forgets the tokens seen so far, since it
+changes what they mean.  The document's id-triples are added to the graph
+as one batch through :meth:`Graph.add_ids`.  An anonymous node gets the
+first label ``b1``, ``b2``, ... that no ``_:label`` in the document uses,
+so the first ``[`` that needs one scans the rest of the text into a buffer,
+which the reader then reads from.
 
 The writer is deterministic: given equal graphs and prefix maps it emits
 byte-identical documents, and any document it emits parses back to an equal
