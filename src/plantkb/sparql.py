@@ -180,11 +180,11 @@ class _QueryParser(TokenParser):
 
         query = Query(
             prefixes=self.prefixes,
-            select_vars=select_vars,  # type: ignore[arg-type]
+            select_vars=select_vars,
             patterns=patterns,
             filters=filters,
             distinct=distinct,
-            order_by=order_by,  # type: ignore[arg-type]
+            order_by=order_by,
             limit=limit,
             offset=offset,
         )
