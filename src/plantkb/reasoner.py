@@ -160,10 +160,10 @@ def _derive(
     derive = out.setdefault
     SC, TY, DOM, RNG, SP, INV, CLASS, TRANS, SYM, THING = constants
 
-    def table(p: int | None) -> _Table:
+    def table(p: int) -> _Table:
         return tables.get(p, _EMPTY)
 
-    def dtable(p: int | None) -> _Table:
+    def dtable(p: int) -> _Table:
         return delta.get(p, _EMPTY)
 
     def not_literal(ys: Iterable[int]) -> list[int]:
