@@ -87,8 +87,9 @@ _TAIL = (
 )
 
 
-# A token: its kind, its value (decoded or upper-cased text, or None at the
-# end) and its start offset into the source text.
+# A token: its kind, its value (its text: decoded for IRIs and strings, with
+# no sigil for tags, blank labels and variables, upper-cased for keywords;
+# None at the end) and its start offset into the source text.
 Token = tuple[str, object, int]
 
 
