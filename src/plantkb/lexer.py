@@ -26,7 +26,7 @@ A token carries its start offset and no source text; line, column and the
 text are recovered from the offset only when an error is raised.
 
 :class:`TokenParser` is the cursor, one token of lookahead over that stream,
-and the term builders (IRIs, prefixed names, ``PREFIX`` declarations,
+and the term constructors (IRIs, prefixed names, ``PREFIX`` declarations,
 literals) that both recursive-descent parsers stand on.  A parse that fails
 scans the rest of the text before it raises, so a lexical error anywhere in
 the text is reported over an earlier grammar or term error, as if the whole
@@ -240,7 +240,7 @@ _DATATYPES = {"integer": XSD_INTEGER, "decimal": XSD_DECIMAL, "boolean": XSD_BOO
 
 
 class TokenParser:
-    """Token cursor and term builders shared by the Turtle and SPARQL parsers.
+    """Token cursor and term constructors shared by the Turtle and SPARQL parsers.
 
     The cursor is one token of lookahead, ``tok``, over the lexer's stream;
     ``_next`` pulls the token after it.
