@@ -194,12 +194,9 @@ class Graph:
 
     def insert(self, t: Triple) -> bool:
         """Add a triple; True iff it was not already present."""
+        # a Triple's own constructor has checked each term's position
         if not isinstance(t, Triple):
             raise MalformedTripleError(f"expected a Triple, got {type(t).__name__}")
-        if isinstance(t.subject, Literal):
-            raise MalformedTripleError("literal in subject position")
-        if not isinstance(t.predicate, Iri):
-            raise MalformedTripleError("predicate must be an IRI")
         self._check_writable()
         subject, predicate, obj = t.subject, t.predicate, t.object
         lookup = self._term_to_id.get

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .graph import Graph
-from .ontology import extract_ontology
+from .ontology import _objects_by_subject, extract_ontology
 from .reasoner import InconsistencyKind, check_consistency
 from .terms import (
     RDF_LANG_STRING,
@@ -82,6 +82,7 @@ def run_checks(graph: Graph, cfg: CheckConfig | None = None) -> list[Diagnostic]
     property_re = re.compile(cfg.property_name_pattern)
 
     view = extract_ontology(graph)
+    labels = _objects_by_subject(graph, RDFS_LABEL)
     out: list[Diagnostic] = []
 
     if "NC001" in enabled:
@@ -105,11 +106,7 @@ def run_checks(graph: Graph, cfg: CheckConfig | None = None) -> list[Diagnostic]
             if decl.label is None:
                 out.append(Diagnostic("MD001", Severity.ERROR, c, "class has no rdfs:label"))
         for p in view.properties:
-            has_label = any(
-                isinstance(t.object, Literal)
-                for t in graph.match(TriplePattern(p, RDFS_LABEL, None))
-            )
-            if not has_label:
+            if not any(isinstance(o, Literal) for o in labels.get(p, ())):
                 out.append(Diagnostic("MD001", Severity.ERROR, p, "property has no rdfs:label"))
 
     # Asserted subclass digraph over IRI endpoints; used by CN001.
@@ -134,9 +131,9 @@ def run_checks(graph: Graph, cfg: CheckConfig | None = None) -> list[Diagnostic]
     if "CN002" in enabled:
         by_label: dict[str, list[Iri]] = {}
         for c in view.classes:
-            for t in graph.match(TriplePattern(c, RDFS_LABEL, None)):
-                if isinstance(t.object, Literal):
-                    by_label.setdefault(t.object.lexical, []).append(c)
+            for o in labels.get(c, ()):
+                if isinstance(o, Literal):
+                    by_label.setdefault(o.lexical, []).append(c)
         for label, classes in by_label.items():
             distinct = sorted(set(classes), key=term_sort_key)
             if len(distinct) > 1:
@@ -160,10 +157,10 @@ def run_checks(graph: Graph, cfg: CheckConfig | None = None) -> list[Diagnostic]
         mentioned_by_individual = {
             term for term in map(graph.term, object_ids) if isinstance(term, Iri)
         }
+        typed = {t.object for t in graph.match(TriplePattern(None, RDF_TYPE, None))}
         for c in view.classes:
-            has_instances = bool(graph.match(TriplePattern(None, RDF_TYPE, c)))
             if (
-                not has_instances
+                c not in typed
                 and c not in used_as_parent
                 and c not in used_in_axiom
                 and c not in mentioned_by_individual

@@ -4,7 +4,10 @@ Interprets the raw triples as OWL-style declarations: named classes, object
 and datatype properties with their domain/range/characteristics, individuals,
 and the owl:Thing-rooted class hierarchy.  Anonymous class expressions
 (restrictions, intersections) are out of scope; blank-node class
-declarations are ignored by this view.
+declarations are ignored by this view.  The view reads each predicate it
+needs (rdf:type, rdfs:subClassOf, rdfs:label, rdfs:domain, rdfs:range,
+owl:inverseOf) from the store once, however many classes, properties and
+individuals there are.
 
 Also renders the hierarchy and the property graph as GraphViz DOT text.
 """
@@ -13,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import SubclassCycleError
 from .graph import Graph
@@ -75,15 +78,23 @@ class OntologyView(NamedTuple):
     individuals: dict[Iri, Individual]
 
 
-def _best_label(graph: Graph, subject: Iri) -> str | None:
-    labels = [
-        t.object
-        for t in graph.match(TriplePattern(subject, RDFS_LABEL, None))
-        if isinstance(t.object, Literal)
-    ]
-    if not labels:
-        return None
-    return min(labels, key=term_sort_key).lexical
+def _objects_by_subject(graph: Graph, predicate: Iri) -> dict[Term, list[Term]]:
+    """The objects of every ``predicate`` triple, grouped by subject, from one
+    read; the (predicate, object, subject) view gives each subject's objects
+    in the order a per-subject read does."""
+    grouped: dict[Term, list[Term]] = {}
+    for t in graph.match(TriplePattern(None, predicate, None)):
+        grouped.setdefault(t.subject, []).append(t.object)
+    return grouped
+
+
+def _iris(terms: Iterable[Term]) -> frozenset[Iri]:
+    return frozenset(t for t in terms if isinstance(t, Iri))
+
+
+def _best_label(labels: Iterable[Term]) -> str | None:
+    best = min((t for t in labels if isinstance(t, Literal)), key=term_sort_key, default=None)
+    return None if best is None else best.lexical
 
 
 def extract_ontology(graph: Graph) -> OntologyView:
@@ -94,66 +105,49 @@ def extract_ontology(graph: Graph) -> OntologyView:
     subjects typed by any declared class.  Undeclared references are left
     to the lint checks.
     """
-    classes: dict[Iri, OntologyClass] = {}
-    for t in graph.match(TriplePattern(None, RDF_TYPE, OWL_CLASS)):
-        c = t.subject
-        if not isinstance(c, Iri):
-            continue
-        supers = frozenset(
-            st.object
-            for st in graph.match(TriplePattern(c, RDFS_SUBCLASSOF, None))
-            if isinstance(st.object, Iri)
-        )
-        classes[c] = OntologyClass(iri=c, label=_best_label(graph, c), direct_supers=supers)
-
-    properties: dict[Iri, PropertyDecl] = {}
-    object_props = {
-        t.subject
-        for t in graph.match(TriplePattern(None, RDF_TYPE, OWL_OBJECT_PROPERTY))
-        if isinstance(t.subject, Iri)
-    }
-    datatype_props = {
-        t.subject
-        for t in graph.match(TriplePattern(None, RDF_TYPE, OWL_DATATYPE_PROPERTY))
-        if isinstance(t.subject, Iri)
-    }
-    for p in sorted(object_props | datatype_props, key=term_sort_key):
-        kind = PropertyKind.OBJECT if p in object_props else PropertyKind.DATATYPE
-        domain = frozenset(
-            t.object for t in graph.match(TriplePattern(p, RDFS_DOMAIN, None))
-            if isinstance(t.object, Iri)
-        )
-        range_ = frozenset(
-            t.object for t in graph.match(TriplePattern(p, RDFS_RANGE, None))
-            if isinstance(t.object, Iri)
-        )
-        characteristics = set()
-        if graph.match(TriplePattern(p, RDF_TYPE, OWL_TRANSITIVE_PROPERTY)):
-            characteristics.add("transitive")
-        if graph.match(TriplePattern(p, RDF_TYPE, OWL_SYMMETRIC_PROPERTY)):
-            characteristics.add("symmetric")
-        inverses = sorted(
-            (t.object for t in graph.match(TriplePattern(p, OWL_INVERSE_OF, None))
-             if isinstance(t.object, Iri)),
-            key=term_sort_key,
-        )
-        properties[p] = PropertyDecl(
-            iri=p,
-            kind=kind,
-            domain=domain,
-            range=range_,
-            characteristics=frozenset(characteristics),
-            inverse_of=inverses[0] if inverses else None,
-        )
-
     # one read of every rdf:type triple, in (type, subject) index order, so
-    # each class's members come in the order a per-class read gives them
+    # each type's members come in the order a per-type read gives them
     members: dict[Term, list[Term]] = {}
     types_of: dict[Term, set[Iri]] = {}
     for t in graph.match(TriplePattern(None, RDF_TYPE, None)):
         members.setdefault(t.object, []).append(t.subject)
         if isinstance(t.object, Iri):
             types_of.setdefault(t.subject, set()).add(t.object)
+
+    def typed(kind: Iri) -> list[Iri]:
+        return [s for s in members.get(kind, ()) if isinstance(s, Iri)]
+
+    supers = _objects_by_subject(graph, RDFS_SUBCLASSOF)
+    labels = _objects_by_subject(graph, RDFS_LABEL)
+    classes = {
+        c: OntologyClass(iri=c, label=_best_label(labels.get(c, ())),
+                         direct_supers=_iris(supers.get(c, ())))
+        for c in typed(OWL_CLASS)
+    }
+
+    object_props = set(typed(OWL_OBJECT_PROPERTY))
+    datatype_props = set(typed(OWL_DATATYPE_PROPERTY))
+    characteristic_members = {
+        "transitive": set(members.get(OWL_TRANSITIVE_PROPERTY, ())),
+        "symmetric": set(members.get(OWL_SYMMETRIC_PROPERTY, ())),
+    }
+    domains = _objects_by_subject(graph, RDFS_DOMAIN)
+    ranges = _objects_by_subject(graph, RDFS_RANGE)
+    inverses = _objects_by_subject(graph, OWL_INVERSE_OF)
+    properties = {
+        p: PropertyDecl(
+            iri=p,
+            kind=PropertyKind.OBJECT if p in object_props else PropertyKind.DATATYPE,
+            domain=_iris(domains.get(p, ())),
+            range=_iris(ranges.get(p, ())),
+            characteristics=frozenset(
+                name for name, having in characteristic_members.items() if p in having
+            ),
+            inverse_of=min(_iris(inverses.get(p, ())), key=term_sort_key, default=None),
+        )
+        for p in sorted(object_props | datatype_props, key=term_sort_key)
+    }
+
     individuals: dict[Iri, Individual] = {}
     for c in classes:
         for s in members.get(c, ()):
@@ -253,9 +247,10 @@ def _dot_escape(text: str) -> str:
     return text.replace("\\", "\\\\").replace('"', '\\"')
 
 
-def _node_label(graph: Graph, iri: Iri) -> str:
-    label = _best_label(graph, iri)
-    return label if label is not None else iri.local_name()
+def _node_line(labels: dict[Term, list[Term]], iri: Iri) -> str:
+    label = _best_label(labels.get(iri, ()))
+    text = label if label is not None else iri.local_name()
+    return f'    "{_dot_escape(iri.value)}" [label="{_dot_escape(text)}"];'
 
 
 def to_dot(graph: Graph, mode: str = "classes") -> str:
@@ -268,12 +263,12 @@ def to_dot(graph: Graph, mode: str = "classes") -> str:
     property's local name.  Output is deterministic.
     """
     lines: list[str]
+    labels = _objects_by_subject(graph, RDFS_LABEL)
     if mode == "classes":
         tree = class_tree(graph)
         nodes = tree.nodes()
         lines = ["digraph classes {", "    rankdir=BT;"]
-        for n in nodes:
-            lines.append(f'    "{_dot_escape(n.value)}" [label="{_dot_escape(_node_label(graph, n))}"];')
+        lines.extend(_node_line(labels, n) for n in nodes)
         for parent in sorted(tree.children, key=term_sort_key):
             for child in tree.children[parent]:
                 lines.append(f'    "{_dot_escape(child.value)}" -> "{_dot_escape(parent.value)}";')
@@ -285,8 +280,7 @@ def to_dot(graph: Graph, mode: str = "classes") -> str:
             key=term_sort_key,
         )
         lines = ["digraph properties {"]
-        for n in nodes:
-            lines.append(f'    "{_dot_escape(n.value)}" [label="{_dot_escape(_node_label(graph, n))}"];')
+        lines.extend(_node_line(labels, n) for n in nodes)
         for p in sorted(view.properties, key=term_sort_key):
             decl = view.properties[p]
             name = _dot_escape(p.local_name())

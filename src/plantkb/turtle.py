@@ -336,28 +336,16 @@ def parse_turtle(text: str, base: Iri | str | None = None) -> ParseOutcome:
 # -- serialization ------------------------------------------------------------
 
 
+# named escapes for the quote, the backslash and five controls; every other
+# character below U+0020 is written as \uXXXX in upper-case hex
+_STRING_ESCAPES = str.maketrans(
+    {chr(i): f"\\u{i:04X}" for i in range(0x20)}
+    | {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t", "\b": "\\b", "\f": "\\f"}
+)
+
+
 def _escape_string(s: str) -> str:
-    out = []
-    for ch in s:
-        if ch == "\\":
-            out.append("\\\\")
-        elif ch == '"':
-            out.append('\\"')
-        elif ch == "\n":
-            out.append("\\n")
-        elif ch == "\r":
-            out.append("\\r")
-        elif ch == "\t":
-            out.append("\\t")
-        elif ch == "\b":
-            out.append("\\b")
-        elif ch == "\f":
-            out.append("\\f")
-        elif ord(ch) < 0x20:
-            out.append(f"\\u{ord(ch):04X}")
-        else:
-            out.append(ch)
-    return "".join(out)
+    return s.translate(_STRING_ESCAPES)
 
 
 def _iri_ref(iri: Iri) -> str:

@@ -47,8 +47,8 @@ def test_insert_validates_positions():
     g = Graph()
     with pytest.raises(MalformedTripleError):
         g.insert("not a triple")
-    # Triple construction itself blocks literal subjects, so go through the
-    # store's own guard with a structurally valid but foreign object
+    # Triple construction itself blocks literal subjects, so a look-alike
+    # object is the only way to offer one; the store rejects any non-Triple
     class Fake:
         subject = Literal("x")
         predicate = iri("p")

@@ -179,17 +179,23 @@ def test_store_reads_do_not_grow_with_the_individuals(monkeypatch):
 
     monkeypatch.setattr(Graph, "match_with_stats", counting)
     per_size = []
-    for n in (10, 200):
-        classes = [iri(f"C{i}") for i in range(4)]
+    # n individuals, k classes and k - 3 properties: more individuals, then
+    # more declarations
+    for n, k in ((10, 4), (200, 4), (10, 40)):
+        classes = [iri(f"C{i}") for i in range(k)]
         g = build(*(Triple(c, RDF_TYPE, OWL_CLASS) for c in classes))
         g.insert(Triple(iri("C1"), RDFS_SUBCLASSOF, iri("C0")))
         g.insert(Triple(iri("knows"), RDF_TYPE, OWL_OBJECT_PROPERTY))
+        for c in classes[4:]:
+            g.insert(Triple(iri(f"in{c.local_name()}"), RDF_TYPE, OWL_OBJECT_PROPERTY))
+            g.insert(Triple(iri(f"in{c.local_name()}"), RDFS_DOMAIN, c))
         for i in range(n):
             g.insert(Triple(iri(f"x{i}"), RDF_TYPE, iri("C1")))
             g.insert(Triple(iri(f"x{i}"), iri("knows"), iri("C3")))
         calls.clear()
-        codes = [d.code for d in run_checks(g) if d.code == "CN003"]
-        per_size.append((len(calls), codes))
-    # C2 is the one orphan: C3 is mentioned by the individuals' assertions
-    assert per_size[0] == per_size[1]
-    assert per_size[0][1] == ["CN003"]
+        orphans = [d.subject for d in run_checks(g) if d.code == "CN003"]
+        per_size.append((len(calls), orphans))
+    # C2 is the one orphan: C3 is mentioned by the individuals' assertions,
+    # and C4 on are the domains of properties
+    assert per_size[0] == per_size[1] == per_size[2]
+    assert per_size[0][1] == [iri("C2")]

@@ -19,7 +19,9 @@ from plantkb.terms import (
     OWL_OBJECT_PROPERTY,
     OWL_THING,
     RDF_TYPE,
+    RDFS_DOMAIN,
     RDFS_LABEL,
+    RDFS_RANGE,
     RDFS_SUBCLASSOF,
     Iri,
     Literal,
@@ -41,11 +43,19 @@ def build(*triples):
     return g
 
 
-def _typed_individuals(n):
-    classes = [Iri(f"{EX}C{i}") for i in range(4)]
+def _typed_individuals(n, k=4):
+    """n individuals typed by two of four classes; k labelled classes in a
+    subclass chain and k properties, each with a domain and a range."""
+    classes = [Iri(f"{EX}C{i}") for i in range(k)]
     g = build(*(Triple(c, RDF_TYPE, OWL_CLASS) for c in classes))
     for sub, sup in zip(classes, classes[1:]):
         g.insert(Triple(sub, RDFS_SUBCLASSOF, sup))
+    for i, c in enumerate(classes):
+        g.insert(Triple(c, RDFS_LABEL, Literal(f"class {i}")))
+        p = Iri(f"{EX}p{i}")
+        g.insert(Triple(p, RDF_TYPE, OWL_OBJECT_PROPERTY))
+        g.insert(Triple(p, RDFS_DOMAIN, c))
+        g.insert(Triple(p, RDFS_RANGE, classes[(i + 1) % k]))
     g.insert(Triple(Iri(EX + "knows"), RDF_TYPE, OWL_OBJECT_PROPERTY))
     for i in range(n):
         x = Iri(f"{EX}x{i}")
@@ -64,15 +74,25 @@ def test_store_reads_do_not_grow_with_the_individuals(monkeypatch):
         return real(self, pattern)
 
     monkeypatch.setattr(Graph, "match_with_stats", counting)
+    readers = (
+        extract_ontology,
+        lambda g: to_dot(g, mode="classes"),
+        lambda g: to_dot(g, mode="properties"),
+    )
     per_size = []
-    for n in (10, 200):
-        g = _typed_individuals(n)
-        calls.clear()
+    # more individuals, then more classes and properties
+    for n, k in ((10, 4), (200, 4), (10, 40)):
+        g = _typed_individuals(n, k)
+        reads = []
+        for read in readers:
+            calls.clear()
+            read(g)
+            reads.append(len(calls))
+        per_size.append(reads)
         view = extract_ontology(g)
-        per_size.append(len(calls))
-        assert len(view.individuals) == n
+        assert (len(view.individuals), len(view.classes), len(view.properties)) == (n, k, k + 1)
         assert view.individuals[Iri(EX + "x5")].asserted_types == {Iri(EX + "C1"), Iri(EX + "C2")}
-    assert per_size[0] == per_size[1]
+    assert per_size[0] == per_size[1] == per_size[2]
 
 
 def test_fixture_view_counts():
