@@ -5,7 +5,8 @@ expression of named groups scans the token classes both languages share
 (W3C Turtle 1.1 and SPARQL 1.1 Query spell them the same way):
 
     whitespace and ``#`` comments       skipped
-    IRIREF ``<...>``                    ``\\u``/``\\U`` escapes decoded
+    IRIREF ``<...>``                    ``\\u``/``\\U`` escapes decoded; controls, space,
+                                        ``{}|^`` and the backtick only as escapes
     quoted string ``"..."``/``'...'``   single line; ``\\t \\b \\n \\r \\f \\" \\' \\\\``
                                         and ``\\u``/``\\U`` escapes decoded
     prefixed name ``pfx:local``         a trailing ``.`` ends the statement instead
@@ -40,7 +41,6 @@ from collections import deque
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from typing import TypeVar
-from urllib.parse import urljoin
 
 from .errors import ParseError, PlantKbError, RelativeIriError, UnknownPrefixError, UnsupportedConstructError
 from .graph import PrefixMap
@@ -52,7 +52,7 @@ _UCHAR = r"\\u(?![Dd][89A-Fa-f])[0-9A-Fa-f]{4}|\\U00(?!00[Dd][89A-Fa-f])(?:0[0-9
 # The valid body of a quoted token, keyed by its opening character.  A body
 # match stops at the first character that makes the token malformed.
 _BODY = {
-    "<": re.compile(rf'(?:[^ \t\r\n<">\\]|{_UCHAR})*'),
+    "<": re.compile(rf'(?:[^\x00-\x20<>"{{}}|^`\\]|{_UCHAR})*'),
     '"': re.compile(rf'(?:[^"\\\n]|\\[tbnrf"\'\\]|{_UCHAR})*'),
     "'": re.compile(rf"(?:[^'\\\n]|\\[tbnrf\"'\\]|{_UCHAR})*"),
 }
@@ -60,6 +60,9 @@ _ESCAPE = re.compile(r"\\(?:u([0-9A-Fa-f]{4})|U([0-9A-Fa-f]{8})|(.))")
 _ESCAPES = {"t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f", '"': '"', "'": "'", "\\": "\\"}
 _LANGTAG = re.compile(r"[A-Za-z]+(?:-[A-Za-z0-9]+)*")
 _ABSOLUTE_IRI = re.compile(r"^[A-Za-z][A-Za-z0-9+.\-]*:")
+# RFC 3986 Appendix B: scheme, authority, path, query and fragment are groups
+# 2, 4, 5, 7 and 9; an absent component's group is None
+_REFERENCE = re.compile(r"(([^:/?#]+):)?(//([^/?#]*))?([^?#]*)(\?([^#]*))?(#(.*))?", re.S)
 
 _SKIP = r"(?:[ \t\r\n]+|#[^\n]*)*"
 # Token classes in the order the master regex tries them.  The order matters:
@@ -71,7 +74,7 @@ _HEAD = (
     ("pname", r"(?:[A-Za-z][A-Za-z0-9_.\-]*)?:(?:[A-Za-z0-9_.\-]*[A-Za-z0-9_\-])?"),
     ("long_string", r'"""|\'\'\''),
     ("string", r'"(?:[^"\\\n]|\\.)*"|\'(?:[^\'\\\n]|\\.)*\''),
-    ("iriref", r'<[^ \t\r\n<">]*>'),
+    ("iriref", r'<[^\x00-\x20<>"{}|^`]*>'),
     ("langtag", r"@(?:[^\W_]|-)*"),
     ("dt", r"\^\^"),
     ("blank", r"_:(?P<label>[A-Za-z0-9_](?:[A-Za-z0-9_.\-]*[A-Za-z0-9_\-])?)?"),
@@ -235,6 +238,58 @@ class Lexer:
         return text[start:self._match(text, start).end()]
 
 
+def _remove_dot_segments(path: str) -> str:
+    """RFC 3986 §5.2.4, read through an index so a long path stays linear."""
+    out: list[str] = []
+    i, n = 0, len(path)
+    while i < n:
+        if path.startswith(("../", "./"), i):  # A
+            i = path.index("/", i) + 1
+        elif path.startswith("/./", i):  # B: "/./" becomes "/"
+            i += 2
+        elif path.startswith("/../", i):  # C: "/../" becomes "/", dropping a segment
+            i += 3
+            if out:
+                out.pop()
+        elif n - i <= 3 and path[i:] in ("/.", "/.."):  # B and C at the end
+            if path[i:] == "/.." and out:
+                out.pop()
+            out.append("/")
+            break
+        elif n - i <= 2 and path[i:] in (".", ".."):  # D
+            break
+        else:  # E: move the first segment, with its leading "/", to the output
+            j = path.find("/", i + 1)
+            j = n if j < 0 else j
+            out.append(path[i:j])
+            i = j
+    return "".join(out)
+
+
+def _resolve_reference(base: str, ref: str) -> str:
+    """The target of the reference ``ref``, which has no scheme, against
+    ``base`` (RFC 3986 §5.2.2-5.2.3, then §5.3), for a base of any scheme."""
+    parts = _REFERENCE.fullmatch  # every string matches
+    scheme, b_authority, b_path, b_query = parts(base).group(2, 4, 5, 7)  # type: ignore[union-attr]
+    authority, path, query, fragment = parts(ref).group(4, 5, 7, 9)  # type: ignore[union-attr]
+    if authority is not None or path.startswith("/"):
+        path = _remove_dot_segments(path)
+    elif path:  # merge with the base path (§5.2.3)
+        merged = "/" if b_authority is not None and not b_path else b_path[:b_path.rfind("/") + 1]
+        path = _remove_dot_segments(merged + path)
+    else:
+        path = b_path
+        query = b_query if query is None else query
+    authority = b_authority if authority is None else authority
+    return "".join((
+        "" if scheme is None else scheme + ":",
+        "" if authority is None else "//" + authority,
+        path,
+        "" if query is None else "?" + query,
+        "" if fragment is None else "#" + fragment,
+    ))
+
+
 T = TypeVar("T")
 _DATATYPES = {"integer": XSD_INTEGER, "decimal": XSD_DECIMAL, "boolean": XSD_BOOLEAN}
 
@@ -292,12 +347,13 @@ class TokenParser:
         return ParseError(message, *self._position(tok), self._source(tok) if snippet is None else snippet)
 
     def _resolve(self, tok: Token) -> Iri:
-        """The IRI of an IRIREF token, resolved against the base when relative."""
+        """The IRI of an IRIREF token, resolved against the base when relative
+        (RFC 3986 §5.2, for a base of any scheme)."""
         raw: str = tok[1]  # type: ignore[assignment]
         if not _ABSOLUTE_IRI.match(raw):
             if self.base is None:
                 raise RelativeIriError(raw, *self._position(tok))
-            raw = urljoin(self.base.value, raw)
+            raw = _resolve_reference(self.base.value, raw)
         try:
             return Iri(raw)
         except ValueError as exc:

@@ -181,12 +181,11 @@ class ClassTree:
 
     def preorder(self) -> Iterator[tuple[Iri, int]]:
         """Depth-first (node, depth) walk; multi-parent nodes appear once per edge."""
-        def walk(node: Iri, depth: int) -> Iterator[tuple[Iri, int]]:
+        stack = [(self.root, 0)]
+        while stack:
+            node, depth = stack.pop()
             yield node, depth
-            for child in self.children.get(node, ()):
-                yield from walk(child, depth + 1)
-
-        return walk(self.root, 0)
+            stack.extend((child, depth + 1) for child in reversed(self.children.get(node, ())))
 
 
 def class_tree(graph: Graph) -> ClassTree:

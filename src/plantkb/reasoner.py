@@ -6,15 +6,19 @@ inheritance, domain/range inference, subproperty inheritance, transitive /
 inverse / symmetric properties, and owl:Thing membership for every declared
 class.  Every inferred triple records the rule that first derived it.
 
-Reflexive subclass edges (A subClassOf A) are never materialized.
+Reflexive subclass edges (A subClassOf A) are never materialized.  The range
+rule is narrower than rdfs3 (RDF 1.1 Semantics §9.2): it needs the range
+declared an owl:Class, and it never types a literal object.
 
 Materialization is round-based semi-naive evaluation over term ids
 (Bancilhon & Ramakrishnan 1986).  The store is read once, into per-predicate
 tables of (subject id, object id) pairs grouped by subject and by object.
 Each sweep joins only the previous sweep's new triples against those tables,
-then appends its own new triples to them.  A sweep derives exactly the new
-triples a naive sweep over the whole store would, rule by rule, so the
-sweep count and first-rule credit are those of naive re-evaluation.
+then appends its own new triples to them.  Inside ``_derive``, ``axiom_pairs``
+writes that split once for the axiom rules (3, 5, 7: ``p X c`` with p's
+pairs) and ``typed_pairs`` once for the typed-property rules (6, 8).  A sweep
+derives exactly the new triples a naive sweep over the whole store would,
+rule by rule, so sweep counts and first-rule credit match naive re-evaluation.
 
 Rules derive id-triples.  Each distinct id-triple a sweep derives goes
 through :meth:`Graph.insert` once, credited to the first rule in RuleId
@@ -34,7 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Hashable, Iterable, Mapping, TypeVar
+from typing import Hashable, Iterable, Iterator, Mapping, TypeVar
 
 from .graph import Graph
 from .terms import (
@@ -174,6 +178,29 @@ def _derive(
 
     sc, dsc, ty, dty = table(SC), dtable(SC), table(TY), dtable(TY)
 
+    def axiom_pairs(X: int) -> Iterator[tuple[int, _Table]]:
+        """(c, pairs) for each axiom p X c joined with p's pairs: a new axiom
+        with all of them, then an old axiom with p's new ones."""
+        for p, cs in dtable(X).succ.items():
+            pairs = table(p)
+            for c in cs:
+                yield c, pairs
+        axioms = table(X).succ
+        for p, d in delta.items():
+            for c in axioms.get(p, ()):
+                if (p, X, c) not in new:
+                    yield c, d
+
+    def typed_pairs(K: int) -> Iterator[tuple[int, _Table]]:
+        """(p, pairs) for each p typed K: a newly typed p with all its pairs,
+        then an old one with its new pairs."""
+        for p in dty.pred.get(K, ()):
+            yield p, table(p)
+        for p in ty.pred.get(K, ()):
+            d = delta.get(p)
+            if d is not None and (p, TY, K) not in new:
+                yield p, d
+
     # 1. A subClassOf B, B subClassOf C => A subClassOf C (never reflexive)
     rule = RuleId.SUBCLASS_TRANS
     for a, bs in dsc.succ.items():
@@ -204,17 +231,9 @@ def _derive(
     # 3. p domain C, x p y => x type C
     # Only IRIs are predicates, so a non-IRI p has no pairs.
     rule = RuleId.DOMAIN_INFER
-    dom = table(DOM)
-    for p, cs in dtable(DOM).succ.items():
-        xs = table(p).succ
-        for c in cs:
-            for x in xs:
-                derive((x, TY, c), rule)
-    for p, d in delta.items():
-        for c in dom.succ.get(p, ()):
-            if (p, DOM, c) not in new:
-                for x in d.succ:
-                    derive((x, TY, c), rule)
+    for c, pairs in axiom_pairs(DOM):
+        for x in pairs.succ:
+            derive((x, TY, c), rule)
 
     # 4. p range C, C type owl:Class, x p y => y type C, unless y is a literal
     rule = RuleId.RANGE_INFER
@@ -240,72 +259,39 @@ def _derive(
 
     # 5. p subPropertyOf q, x p y => x q y
     rule = RuleId.SUBPROP_INHERIT
-    sp = table(SP)
-    for p, qs in dtable(SP).succ.items():
-        xys = table(p).succ
-        for q in qs:
-            if iri(q):
-                for x, ys in xys.items():
-                    for y in ys:
-                        derive((x, q, y), rule)
-    for p, d in delta.items():
-        for q in sp.succ.get(p, ()):
-            if iri(q) and (p, SP, q) not in new:
-                for x, ys in d.succ.items():
-                    for y in ys:
-                        derive((x, q, y), rule)
+    for q, pairs in axiom_pairs(SP):
+        if iri(q):
+            for x, ys in pairs.succ.items():
+                for y in ys:
+                    derive((x, q, y), rule)
 
     # 6. p transitive, x p y, y p z => x p z
     rule = RuleId.TRANSITIVE_PROP
-    for p in dty.pred.get(TRANS, ()):
+    for p, pairs in typed_pairs(TRANS):
         t = table(p)
-        for x, ys in t.succ.items():
+        for x, ys in pairs.succ.items():
             for y in ys:
                 for z in t.succ.get(y, ()):
                     derive((x, p, z), rule)
-    for p in ty.pred.get(TRANS, ()):
-        d = delta.get(p)
-        if d is None or (p, TY, TRANS) in new:
-            continue
-        t = table(p)
-        for x, ys in d.succ.items():
-            for y in ys:
-                for z in t.succ.get(y, ()):
-                    derive((x, p, z), rule)
-        for y, zs in d.succ.items():
-            olds = [x for x in t.pred.get(y, ()) if (x, p, y) not in new]
-            for z in zs:
-                for x in olds:
-                    derive((x, p, z), rule)
+        if pairs is not t:  # an old typed p: old pairs x p y, then its new pairs y p z
+            for y, zs in pairs.succ.items():
+                olds = [x for x in t.pred.get(y, ()) if (x, p, y) not in new]
+                for z in zs:
+                    for x in olds:
+                        derive((x, p, z), rule)
 
     # 7. p inverseOf q, x p y => y q x, unless y is a literal
     rule = RuleId.INVERSE_PROP
-    inv = table(INV)
-    for p, qs in dtable(INV).succ.items():
-        xys = table(p).succ
-        for q in qs:
-            if iri(q):
-                for x, ys in xys.items():
-                    for y in not_literal(ys):
-                        derive((y, q, x), rule)
-    for p, d in delta.items():
-        for q in inv.succ.get(p, ()):
-            if iri(q) and (p, INV, q) not in new:
-                for x, ys in d.succ.items():
-                    for y in not_literal(ys):
-                        derive((y, q, x), rule)
+    for q, pairs in axiom_pairs(INV):
+        if iri(q):
+            for x, ys in pairs.succ.items():
+                for y in not_literal(ys):
+                    derive((y, q, x), rule)
 
     # 8. p symmetric, x p y => y p x, unless y is a literal
     rule = RuleId.SYMMETRIC_PROP
-    for p in dty.pred.get(SYM, ()):
-        for x, ys in table(p).succ.items():
-            for y in not_literal(ys):
-                derive((y, p, x), rule)
-    for p in ty.pred.get(SYM, ()):
-        d = delta.get(p)
-        if d is None or (p, TY, SYM) in new:
-            continue
-        for x, ys in d.succ.items():
+    for p, pairs in typed_pairs(SYM):
+        for x, ys in pairs.succ.items():
             for y in not_literal(ys):
                 derive((y, p, x), rule)
 
@@ -375,59 +361,45 @@ def strongly_connected_components(edges: Mapping[N, Iterable[N]]) -> list[set[N]
     ``edges`` maps a node to its successors; nodes appearing only as
     successors are included.  Returns every component, singletons included.
     """
-    succ: dict[N, list[N]] = {}
-    for n, outs in edges.items():
-        succ.setdefault(n, [])
-        for m in outs:
-            succ[n].append(m)
-            succ.setdefault(m, [])
-
     index: dict[N, int] = {}
     lowlink: dict[N, int] = {}
     on_stack: set[N] = set()
     stack: list[N] = []
-    counter = 0
     components: list[set[N]] = []
+    work: list[tuple[N, Iterator[N]]] = []  # per DFS frame: a node, its successors not yet looked at
 
-    for start in succ:
+    def enter(node: N) -> None:
+        index[node] = lowlink[node] = len(index)
+        stack.append(node)
+        on_stack.add(node)
+        work.append((node, iter(edges.get(node, ()))))
+
+    for start in edges:
         if start in index:
             continue
-        # work entries: (node, iterator position into its successor list)
-        work = [(start, 0)]
+        enter(start)
         while work:
-            node, i = work[-1]
-            if i == 0:
-                index[node] = lowlink[node] = counter
-                counter += 1
-                stack.append(node)
-                on_stack.add(node)
-            advanced = False
-            outs = succ[node]
-            while i < len(outs):
-                m = outs[i]
-                i += 1
+            node, successors = work[-1]
+            for m in successors:
                 if m not in index:
-                    work[-1] = (node, i)
-                    work.append((m, 0))
-                    advanced = True
+                    enter(m)
                     break
                 if m in on_stack:
                     lowlink[node] = min(lowlink[node], index[m])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[node])
-            if lowlink[node] == index[node]:
-                component = set()
-                while True:
-                    m = stack.pop()
-                    on_stack.discard(m)
-                    component.add(m)
-                    if m == node:
-                        break
-                components.append(component)
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    lowlink[parent] = min(lowlink[parent], lowlink[node])
+                if lowlink[node] == index[node]:
+                    component = set()
+                    while True:
+                        m = stack.pop()
+                        on_stack.discard(m)
+                        component.add(m)
+                        if m == node:
+                            break
+                    components.append(component)
     return components
 
 

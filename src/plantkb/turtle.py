@@ -348,10 +348,15 @@ def _escape_string(s: str) -> str:
     return s.translate(_STRING_ESCAPES)
 
 
+# the characters IRIREF excludes that an Iri can still hold (a \u escape
+# spells them), and the backslash, which would start an escape: each is
+# written as \uXXXX in upper-case hex
+_IRI_ESCAPES = str.maketrans({c: f"\\u{ord(c):04X}" for c in [*map(chr, range(0x21)), *"{}|^`\\"]})
+
+
 def _iri_ref(iri: Iri) -> str:
-    """``<...>`` text that reads back as ``iri``; a backslash would start an
-    escape there, so it is written as ``\\u005C``."""
-    return "<" + iri.value.replace("\\", "\\u005C") + ">"
+    """``<...>`` text that reads back as ``iri``."""
+    return "<" + iri.value.translate(_IRI_ESCAPES) + ">"
 
 
 def _render_iri(iri: Iri, pm: PrefixMap) -> str:

@@ -66,6 +66,13 @@ TURTLE = [
     ('a <http://e/p> <http://e/o> .', ('ParseError', "line 1, column 1: subject expected (IRI or blank node) (near 'a')")),
     ('# lead\n\n   <http://e/s> <http://e/p>\n  "x\n" .', ('ParseError', "line 4, column 5: newline inside single-line string literal (near '\\\\n')")),
     ('<http://e/s> <http://e/p> <http://e/o>', ('ParseError', "line 1, column 39: expected '.' at end of statement")),
+    ('<http://e/a{b> <http://e/p> <http://e/o> .', (None, None)),
+    ('<http://e/s> <http://e/p> <http://e/a}b> .', (None, None)),
+    ('<http://e/s> <http://e/a|b> <http://e/o> .', (None, None)),
+    ('<http://e/a^b> <http://e/p> <http://e/o> .', (None, None)),
+    ('<http://e/s> <http://e/p> <http://e/a`b> .', (None, None)),
+    ('<http://e/s> <http://e/p> <http://e/a\x01b> .', (None, None)),
+    ('@prefix ex: <http://e/{x}/> .', (None, None)),
 ]
 
 SPARQL = [
@@ -121,6 +128,7 @@ SPARQL = [
     ('SELECT $x WHERE { $x ?p }', ('ParseError', "line 1, column 25: triple pattern term expected (near '}')")),
     ('SELECT ?x WHERE { ?x ?p ?o } # note\n LIMIT', ('ParseError', 'line 2, column 7: expected LIMIT count')),
     ('SELECT ?x WHERE { ?x ?p ?o } LIMIT 5 OFFSET', ('ParseError', 'line 1, column 44: expected OFFSET count')),
+    ('SELECT ?x WHERE { ?x ?p <http://e/a{b> }', (None, None)),
 ]
 
 CHANGED = {
@@ -153,6 +161,18 @@ CHANGED = {
     # Prefix labels must start with a letter in SPARQL too, as Turtle required.
     'PREFIX _x: <http://e/> SELECT ?x WHERE { ?x _x:p ?o }': ('ParseError', "line 1, column 8: malformed prefix label '_x' (near '_x')"),
     'PREFIX -x: <http://e/> SELECT ?x WHERE { ?x -x:p ?o }': ('ParseError', "line 1, column 8: malformed prefix label '-x' (near '-x')"),
+    # IRIREF excludes #x00-#x20, '{', '}', '|', '^' and the backtick (W3C RDF 1.1
+    # Turtle, production [18] IRIREF; SPARQL 1.1 Query, production [139] IRIREF).
+    # SPARQL then reads the '<' as its less-than operator, as for any other
+    # malformed IRI.
+    '<http://e/a{b> <http://e/p> <http://e/o> .': ('ParseError', "line 1, column 12: invalid character '{' in IRI reference (near '{')"),
+    '<http://e/s> <http://e/p> <http://e/a}b> .': ('ParseError', "line 1, column 38: invalid character '}' in IRI reference (near '}')"),
+    '<http://e/s> <http://e/a|b> <http://e/o> .': ('ParseError', "line 1, column 25: invalid character '|' in IRI reference (near '|')"),
+    '<http://e/a^b> <http://e/p> <http://e/o> .': ('ParseError', "line 1, column 12: invalid character '^' in IRI reference (near '^')"),
+    '<http://e/s> <http://e/p> <http://e/a`b> .': ('ParseError', "line 1, column 38: invalid character '`' in IRI reference (near '`')"),
+    '<http://e/s> <http://e/p> <http://e/a\x01b> .': ('ParseError', "line 1, column 38: invalid character '\\x01' in IRI reference (near '\\x01')"),
+    '@prefix ex: <http://e/{x}/> .': ('ParseError', "line 1, column 23: invalid character '{' in IRI reference (near '{')"),
+    'SELECT ?x WHERE { ?x ?p <http://e/a{b> }': ('ParseError', "line 1, column 31: unexpected character '/' (near '/')"),
 }
 
 

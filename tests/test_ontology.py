@@ -181,6 +181,30 @@ def test_class_tree_preorder_starts_at_root():
     assert depths[plant("Seed")] == 2
 
 
+def test_class_tree_preorder_visits_children_in_order_once_per_edge():
+    a, b, c, d = (Iri(EX + n) for n in "ABCD")
+    tree = class_tree(build(
+        *(Triple(x, RDF_TYPE, OWL_CLASS) for x in (a, b, c, d)),
+        Triple(c, RDFS_SUBCLASSOF, a),
+        Triple(c, RDFS_SUBCLASSOF, b),
+        Triple(d, RDFS_SUBCLASSOF, c),
+    ))
+    assert list(tree.preorder()) == [
+        (OWL_THING, 0), (a, 1), (c, 2), (d, 3), (b, 1), (c, 2), (d, 3),
+    ]
+
+
+def test_class_tree_preorder_walks_a_deep_chain():
+    # deeper than the default recursion limit of 1,000 frames
+    chain = [Iri(f"{EX}C{i:04d}") for i in range(3000)]
+    g = build(*(Triple(c, RDF_TYPE, OWL_CLASS) for c in chain))
+    for sub, sup in zip(chain[1:], chain):
+        g.insert(Triple(sub, RDFS_SUBCLASSOF, sup))
+    tree = class_tree(g)
+    assert list(tree.preorder()) == [(OWL_THING, 0)] + [(c, i + 1) for i, c in enumerate(chain)]
+    assert to_dot(g).count(" -> ") == 3000
+
+
 def test_parentless_class_attaches_to_thing():
     c = Iri(EX + "C")
     tree = class_tree(build(Triple(c, RDF_TYPE, OWL_CLASS)))

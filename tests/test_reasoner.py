@@ -91,6 +91,9 @@ def test_domain_and_range_inference():
 
 
 def test_range_inference_requires_declared_class_and_skips_literals():
+    # RDF 1.1 Semantics §9.2.1, rdfs3: "aaa rdfs:range xxx . yyy aaa zzz ."
+    # entails "zzz rdf:type xxx ." for any xxx and zzz.  Rule 4 is narrower on
+    # both counts, as the reasoner's module docstring states.
     p, d, x = iri("p"), iri("D"), iri("x")
     # D is not declared a class: no range inference at all
     g = build(Triple(p, RDFS_RANGE, d), Triple(x, p, iri("y")))

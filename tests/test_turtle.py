@@ -96,6 +96,51 @@ def test_base_argument_used_when_document_has_none():
     ) in g
 
 
+# RFC 3986 §5.4.1 (normal) and §5.4.2 (abnormal) examples, against the base
+# http://a/b/c/d;p?q; "http:g" is the strict parser's answer
+RFC_3986_EXAMPLES = [
+    ("g:h", "g:h"), ("g", "http://a/b/c/g"), ("./g", "http://a/b/c/g"), ("g/", "http://a/b/c/g/"),
+    ("/g", "http://a/g"), ("//g", "http://g"), ("?y", "http://a/b/c/d;p?y"), ("g?y", "http://a/b/c/g?y"),
+    ("#s", "http://a/b/c/d;p?q#s"), ("g#s", "http://a/b/c/g#s"), ("g?y#s", "http://a/b/c/g?y#s"),
+    (";x", "http://a/b/c/;x"), ("g;x", "http://a/b/c/g;x"), ("g;x?y#s", "http://a/b/c/g;x?y#s"),
+    ("", "http://a/b/c/d;p?q"), (".", "http://a/b/c/"), ("./", "http://a/b/c/"), ("..", "http://a/b/"),
+    ("../", "http://a/b/"), ("../g", "http://a/b/g"), ("../..", "http://a/"), ("../../", "http://a/"),
+    ("../../g", "http://a/g"),
+    ("../../../g", "http://a/g"), ("../../../../g", "http://a/g"), ("/./g", "http://a/g"),
+    ("/../g", "http://a/g"), ("g.", "http://a/b/c/g."), (".g", "http://a/b/c/.g"), ("g..", "http://a/b/c/g.."),
+    ("..g", "http://a/b/c/..g"), ("./../g", "http://a/b/g"), ("./g/.", "http://a/b/c/g/"),
+    ("g/./h", "http://a/b/c/g/h"), ("g/../h", "http://a/b/c/h"), ("g;x=1/./y", "http://a/b/c/g;x=1/y"),
+    ("g;x=1/../y", "http://a/b/c/y"), ("g?y/./x", "http://a/b/c/g?y/./x"), ("g?y/../x", "http://a/b/c/g?y/../x"),
+    ("g#s/./x", "http://a/b/c/g#s/./x"), ("g#s/../x", "http://a/b/c/g#s/../x"), ("http:g", "http:g"),
+]
+
+
+@pytest.mark.parametrize("ref, target", RFC_3986_EXAMPLES)
+def test_relative_references_resolve_as_rfc_3986_examples(ref, target):
+    g = parse_turtle(f"<{ref}> <http://e.test/p> <http://e.test/o> .", base="http://a/b/c/d;p?q").graph
+    (tr,) = g.triples()
+    assert tr.subject == Iri(target)
+
+
+@pytest.mark.parametrize("base, ref, target", [
+    ("urn:ex:a/b", "c", "urn:ex:a/c"),
+    ("urn:ex:a/b", "../d", "urn:/d"),
+    ("foo://h/a/b", "../d", "foo://h/d"),
+    ("tag:example.org,2020:a/b", "c", "tag:example.org,2020:a/c"),
+])
+def test_relative_references_resolve_against_a_base_of_any_scheme(base, ref, target):
+    # RFC 3986 §5.2 does not depend on the scheme
+    g = parse_turtle(f"<{ref}> <http://e.test/p> <http://e.test/o> .", base=base).graph
+    (tr,) = g.triples()
+    assert tr.subject == Iri(target)
+
+
+def test_iris_resolved_against_a_urn_base_round_trip():
+    out = parse_turtle("@base <urn:ex:a/b> . <c> <urn:ex:p> <../d> .")
+    assert set(out.graph.triples()) == {Triple(Iri("urn:ex:a/c"), Iri("urn:ex:p"), Iri("urn:/d"))}
+    assert parse_turtle(serialize_turtle(out.graph, out.prefixes)).graph == out.graph
+
+
 def test_relative_iri_without_base_is_rejected():
     with pytest.raises(RelativeIriError):
         parse_turtle("<leaf> <http://e.test/p> <http://e.test/o> .")
@@ -132,6 +177,18 @@ def test_anonymous_blank_nodes_skip_labels_used_later_in_the_document():
     assert Triple(Iri(EX + "s"), Iri(EX + "p"), BlankNode("b2")) in g
     assert Triple(BlankNode("b2"), Iri(EX + "q"), Iri(EX + "o")) in g
     assert Triple(BlankNode("b1"), Iri(EX + "r"), Iri(EX + "t")) in g
+
+
+def test_deeply_nested_blank_node_property_lists_parse():
+    # the statement parser keeps its own stack of open '[', so nesting depth
+    # is not bounded by the recursion limit
+    depth = 5000
+    doc = ("@prefix ex: <http://example.test/t#> .\nex:s ex:p "
+           + "[ ex:p " * depth + "ex:o" + " ]" * depth + " .")
+    g = parse_turtle(doc).graph
+    assert len(g) == depth + 1
+    assert Triple(Iri(EX + "s"), Iri(EX + "p"), BlankNode("b1")) in g
+    assert Triple(BlankNode(f"b{depth}"), Iri(EX + "p"), Iri(EX + "o")) in g
 
 
 def test_comments_and_blank_lines_ignored():
@@ -270,16 +327,20 @@ def test_random_round_trips():
 
 
 def test_backslash_in_an_iri_is_written_escaped_and_reads_back():
-    # written raw, <http://e.test/a\b> re-read as the invalid escape \b
+    # written raw, <http://e.test/a\b> re-read as the invalid escape \b, and
+    # the characters IRIREF excludes (here { } | ^ ` and U+0001) as errors
     doc = ("@prefix w: <http://e.test/w\\u005C/> .\n"
-           "<http://e.test/a\\u005Cb> <http://e.test/p> w:x , <http://e.test/w\\u005C/y#z> .")
+           "<http://e.test/a\\u005Cb> <http://e.test/p> w:x , <http://e.test/w\\u005C/y#z> ,"
+           " <http://e.test/c\\u007B\\u007D\\u007C\\u005E\\u0060\\u0001d> .")
     out = parse_turtle(doc)
     assert Triple(Iri("http://e.test/a\\b"), Iri("http://e.test/p"), Iri("http://e.test/w\\/x")) in out.graph
+    assert Triple(Iri("http://e.test/a\\b"), Iri("http://e.test/p"), Iri("http://e.test/c{}|^`\x01d")) in out.graph
     text = serialize_turtle(out.graph, out.prefixes)
     assert text == (
         "@prefix w: <http://e.test/w\\u005C/> .\n"
         "\n"
-        "<http://e.test/a\\u005Cb> <http://e.test/p> w:x, <http://e.test/w\\u005C/y#z> .\n"
+        "<http://e.test/a\\u005Cb> <http://e.test/p> <http://e.test/c\\u007B\\u007D\\u007C\\u005E\\u0060\\u0001d>,"
+        " w:x, <http://e.test/w\\u005C/y#z> .\n"
     )
     again = parse_turtle(text)
     assert again.graph == out.graph
