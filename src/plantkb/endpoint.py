@@ -12,13 +12,16 @@ immutable snapshot; request handlers never take locks.  GET and POST of the
 same query produce byte-identical bodies.  The bind address comes from the
 --bind flag, then the PLANTKB_BIND environment variable, then 127.0.0.1:3030.
 
-A POST body whose Content-Length exceeds MAX_BODY_BYTES (1 MiB) gets 413 with
-Connection: close and is never read; the connection is then half-closed and
-what the client still sends is dropped for up to LINGER_S, so that the client
-can read the 413 before the close.
+A POST body sent with Transfer-Encoding (411: chunked bodies are not decoded)
+or over MAX_BODY_BYTES, 1 MiB (413), is never read: the answer carries
+Connection: close, the connection is half-closed, and what the client still
+sends is dropped for up to LINGER_S, so that the client can read it first.
 
 A connection that sends nothing for REQUEST_TIMEOUT_S (30 s) is closed; if it
 stalls inside a POST body, it first gets 408 with Connection: close.
+
+A HEAD request gets headers only.  Each response logs one INFO line: method,
+path, status, and ms from reading the request line to writing the body.
 """
 
 from __future__ import annotations
@@ -120,26 +123,32 @@ class _Handler(BaseHTTPRequestHandler):
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
         pass
 
-    def _finish(self, status: int, content_type: str, body: bytes, started: float,
-                extra_headers: dict[str, str] | None = None) -> None:
+    def parse_request(self) -> bool:  # runs before every do_* method
+        self._started = time.monotonic()
+        return super().parse_request()
+
+    def _finish(self, status: int, body: bytes, content_type: str = "text/plain; charset=utf-8",
+                headers: dict[str, str] | None = None) -> None:
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
-        for name, value in (extra_headers or {}).items():
+        for name, value in (headers or {}).items():
             self.send_header(name, value)
         self.end_headers()
-        self.wfile.write(body)
-        duration_ms = (time.monotonic() - started) * 1000.0
-        log.info("%s %s %d %.1fms", self.command, self.path, status, duration_ms)
+        if self.command != "HEAD":  # RFC 9110, section 9.3.2
+            self.wfile.write(body)
+        log.info("%s %s %d %.1fms", self.command, self.path, status,
+                 (time.monotonic() - self._started) * 1000.0)
 
-    def _linger(self) -> None:
-        """End a response sent without reading the request body.
+    def _refuse(self, status: int, body: bytes) -> None:
+        """Answer without reading the request body, then end the connection.
 
         Closing a socket with unread bytes resets the connection, and the
         reset can destroy the response before the client reads it.  So the
         write side is shut down (the client sees the end of the response) and
         whatever the client still sends is dropped for at most LINGER_S.
         """
+        self._finish(status, body, headers={"Connection": "close"})
         deadline = time.monotonic() + LINGER_S
         try:
             self.connection.shutdown(socket.SHUT_WR)
@@ -150,93 +159,72 @@ class _Handler(BaseHTTPRequestHandler):
         except OSError:
             pass
 
-    def _run_query(self, query_text: str, started: float) -> None:
+    def _run_query(self, values: list[str] | None, missing: bytes) -> None:
+        """Answer the first of ``values``, or 400 with ``missing`` if there is none."""
+        if not values:
+            self._finish(400, missing)
+            return
         try:
-            query = parse_query(query_text)
-            results = evaluate(query, self.dataset)
+            results = evaluate(parse_query(values[0]), self.dataset)
         except (ParseError, UnknownPrefixError) as exc:
-            self._finish(400, "text/plain; charset=utf-8", str(exc).encode("utf-8"), started)
+            self._finish(400, str(exc).encode("utf-8"))
             return
         if _prefers_csv(self.headers.get("Accept")):
             body = serialize_results(results, "csv").encode("utf-8")
-            self._finish(200, "text/csv; charset=utf-8", body, started)
+            self._finish(200, body, "text/csv; charset=utf-8")
         else:
             body = serialize_results(results, "sparql-json").encode("utf-8")
-            self._finish(200, "application/sparql-results+json", body, started)
+            self._finish(200, body, "application/sparql-results+json")
 
     def do_GET(self) -> None:
-        started = time.monotonic()
         parts = urlsplit(self.path)
         if parts.path == "/sparql":
-            params = parse_qs(parts.query)
-            values = params.get("query")
-            if not values:
-                self._finish(400, "text/plain; charset=utf-8",
-                             b"missing query parameter", started)
-                return
-            self._run_query(values[0], started)
+            self._run_query(parse_qs(parts.query).get("query"), b"missing query parameter")
         elif parts.path == "/health":
-            self._finish(200, "text/plain; charset=utf-8", b"ok", started)
+            self._finish(200, b"ok")
         elif parts.path == "/stats":
-            body = json.dumps(self.dataset_stats).encode("utf-8")
-            self._finish(200, "application/json", body, started)
+            self._finish(200, json.dumps(self.dataset_stats).encode("utf-8"), "application/json")
         else:
-            self._finish(404, "text/plain; charset=utf-8", b"not found", started)
+            self._finish(404, b"not found")
 
     def do_POST(self) -> None:
-        started = time.monotonic()
-        parts = urlsplit(self.path)
-        if parts.path != "/sparql":
-            self._finish(404, "text/plain; charset=utf-8", b"not found", started)
+        # Transfer-Encoding overrides Content-Length (RFC 9112, section 6.3)
+        if "Transfer-Encoding" in self.headers:
+            self._refuse(411, b"Transfer-Encoding is not supported; send Content-Length")
+            return
+        if urlsplit(self.path).path != "/sparql":
+            self._finish(404, b"not found")
             return
         length = self.headers.get("Content-Length") or "0"
         if not (length.isascii() and length.isdigit()):
-            # the body's framing is unknown, so the connection cannot be reused
-            # (RFC 9112, section 6.3)
-            self._finish(400, "text/plain; charset=utf-8",
-                         b"Content-Length must be a non-negative integer", started,
-                         extra_headers={"Connection": "close"})
-            self._linger()
+            # unknown body framing: the connection cannot be reused (RFC 9112, section 6.3)
+            self._refuse(400, b"Content-Length must be a non-negative integer")
             return
         if int(length) > MAX_BODY_BYTES:
-            self._finish(413, "text/plain; charset=utf-8",
-                         f"request body exceeds {MAX_BODY_BYTES} bytes".encode("ascii"), started,
-                         extra_headers={"Connection": "close"})
-            self._linger()
+            self._refuse(413, f"request body exceeds {MAX_BODY_BYTES} bytes".encode("ascii"))
             return
         try:
             raw = self.rfile.read(int(length))
         except TimeoutError:
             # RFC 9110, section 15.5.9; what the client sends later is dropped
-            self._finish(408, "text/plain; charset=utf-8",
-                         f"request body not received within {self.timeout:g} s".encode("ascii"),
-                         started, extra_headers={"Connection": "close"})
-            self._linger()
+            self._refuse(408, f"request body not received within {self.timeout:g} s".encode("ascii"))
             return
-        content_type = (self.headers.get("Content-Type") or "").split(";")[0].strip().lower()
         try:
-            if content_type == "application/x-www-form-urlencoded":
-                params = parse_qs(raw.decode("utf-8"))
-                values = params.get("query")
-                if not values:
-                    self._finish(400, "text/plain; charset=utf-8",
-                                 b"missing query form field", started)
-                    return
-                query_text = values[0]
-            else:
-                query_text = raw.decode("utf-8")
+            text = raw.decode("utf-8")
         except UnicodeDecodeError:
-            self._finish(400, "text/plain; charset=utf-8", b"body is not valid UTF-8", started)
+            self._finish(400, b"body is not valid UTF-8")
             return
-        self._run_query(query_text, started)
+        values: list[str] | None = [text]  # a raw body is the query, even when empty
+        content_type = (self.headers.get("Content-Type") or "").split(";")[0].strip().lower()
+        if content_type == "application/x-www-form-urlencoded":
+            values = parse_qs(text).get("query")
+        self._run_query(values, b"missing query form field")
 
     def _method_not_allowed(self) -> None:
-        started = time.monotonic()
         if urlsplit(self.path).path == "/sparql":
-            self._finish(405, "text/plain; charset=utf-8", b"method not allowed", started,
-                         extra_headers={"Allow": "GET, POST"})
+            self._finish(405, b"method not allowed", headers={"Allow": "GET, POST"})
         else:
-            self._finish(404, "text/plain; charset=utf-8", b"not found", started)
+            self._finish(404, b"not found")
 
     do_PUT = _method_not_allowed
     do_DELETE = _method_not_allowed

@@ -35,9 +35,8 @@ from decimal import Decimal
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 
-from .errors import ParseError
 from .graph import Graph, PrefixMap
-from .lexer import Lexer, TokenParser
+from .lexer import Lexer, Token, TokenParser
 from .terms import (
     RDF_TYPE,
     XSD_STRING,
@@ -111,17 +110,14 @@ class _QueryParser(TokenParser):
             self._take()
             distinct = True
 
-        select_vars: list[str] | str
+        selected: list[Token] = []  # empty for '*'
         if self._at("star"):
             self._take()
-            select_vars = "*"
         else:
-            names = []
             while self._at("var"):
-                names.append(self._take()[1])
-            if not names:
+                selected.append(self._take())
+            if not selected:
                 raise self._error("expected projection variables or '*'", self.tok)
-            select_vars = names  # type: ignore[assignment]
 
         if self._at("kw", "WHERE"):
             self._take()
@@ -143,9 +139,11 @@ class _QueryParser(TokenParser):
             if self._at("dot"):
                 self._take()
 
+        # variables that must occur in a pattern, checked once the whole query
+        # has parsed so that a syntax error is reported first
+        checked = [("selected", tok) for tok in selected]
         order_by = None
-        limit = None
-        offset = None
+        counts: dict[str, int] = {}  # LIMIT and OFFSET
         while self._at("kw"):
             kw = self._take()
             word = kw[1]
@@ -162,50 +160,34 @@ class _QueryParser(TokenParser):
                 if order_by is not None:
                     raise self._error("ORDER BY given twice", kw)
                 order_by = (var[1], direction)
-            elif word == "LIMIT":
-                tok = self._expect("integer", "LIMIT count")
-                limit = int(tok[1])  # type: ignore[arg-type]
-                if limit < 0:
-                    raise self._error("LIMIT must be non-negative", tok)
-            elif word == "OFFSET":
-                tok = self._expect("integer", "OFFSET count")
-                offset = int(tok[1])  # type: ignore[arg-type]
-                if offset < 0:
-                    raise self._error("OFFSET must be non-negative", tok)
+                checked.append(("ORDER BY", var))
+            elif word in ("LIMIT", "OFFSET"):
+                if word in counts:
+                    raise self._error(f"{word} given twice", kw)
+                tok = self._expect("integer", f"{word} count")
+                counts[word] = int(tok[1])  # type: ignore[arg-type]
+                if counts[word] < 0:
+                    raise self._error(f"{word} must be non-negative", tok)
             else:
                 raise self._error(f"unexpected keyword {word}", kw)
 
         if not self._at("eof"):
             raise self._error("trailing content after query", self.tok)
 
-        query = Query(
+        pattern_vars = {name for p in patterns for name in p.variables()}
+        for what, tok in checked:
+            if tok[1] not in pattern_vars:
+                raise self._error(f"{what} variable ?{tok[1]} does not appear in any pattern", tok)
+        return Query(
             prefixes=self.prefixes,
-            select_vars=select_vars,
+            select_vars=[tok[1] for tok in selected] or "*",  # type: ignore[arg-type]
             patterns=patterns,
             filters=filters,
             distinct=distinct,
             order_by=order_by,
-            limit=limit,
-            offset=offset,
+            limit=counts.get("LIMIT"),
+            offset=counts.get("OFFSET"),
         )
-        self._validate(query)
-        return query
-
-    def _validate(self, query: Query) -> None:
-        pattern_vars = set()
-        for p in query.patterns:
-            pattern_vars.update(p.variables())
-        if query.select_vars != "*":
-            for name in query.select_vars:
-                if name not in pattern_vars:
-                    raise ParseError(
-                        f"selected variable ?{name} does not appear in any pattern", 1, 1, f"?{name}"
-                    )
-        if query.order_by is not None and query.order_by[0] not in pattern_vars:
-            raise ParseError(
-                f"ORDER BY variable ?{query.order_by[0]} does not appear in any pattern",
-                1, 1, f"?{query.order_by[0]}",
-            )
 
     def _triple_pattern(self) -> TriplePattern:
         s = self._pattern_term(allow_literal=False)

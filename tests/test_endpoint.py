@@ -2,6 +2,7 @@
 
 import http.client
 import json
+import logging
 import socket
 import threading
 import time
@@ -290,6 +291,25 @@ def test_stalled_body_gets_408_and_other_connections_still_answer(server, monkey
     assert elapsed < 2.0
 
 
+@pytest.mark.parametrize("framing", ["", "Content-Length: 0\r\n"])
+def test_transfer_encoding_gets_411_and_close(server, framing):
+    # the chunk lines used to be read as the next request, and the pipelined
+    # GET was never answered; with Content-Length: 0 this is the
+    # request-smuggling shape (RFC 9112, section 6.3)
+    query = b"SELECT ?x WHERE { ?x ?p ?o }"
+    with socket.create_connection(server, timeout=10) as sock:
+        sock.sendall(f"POST /sparql HTTP/1.1\r\nHost: test\r\n{framing}"
+                     "Transfer-Encoding: chunked\r\n\r\n".encode("ascii")
+                     + b"%x\r\n%s\r\n0\r\n\r\n" % (len(query), query)
+                     + b"GET /health HTTP/1.1\r\nHost: test\r\n\r\n")
+        reply = read_until_close(sock)
+    head, _, body = reply.partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 411 ")
+    assert b"Connection: close" in head
+    assert body == b"Transfer-Encoding is not supported; send Content-Length"
+    assert request(server, "GET", "/health")[0] == 200
+
+
 def test_idle_connection_is_closed(server, monkeypatch):
     # without a handler timeout, an idle connection held its thread forever
     assert _Handler.timeout == REQUEST_TIMEOUT_S == 30.0
@@ -317,6 +337,55 @@ def test_write_methods_are_405_with_allow(server):
         status, headers, body = request(server, method, "/sparql")
         assert (status, body) == (405, b"method not allowed")
         assert headers["Allow"] == "GET, POST"
+
+
+def test_head_gets_headers_without_a_body(server):
+    # the body used to follow the headers, so the next response on the
+    # connection began "method not allowedHTTP/1.1 200 OK" (RFC 9110, section 9.3.2)
+    sent = [("HEAD", "/sparql"), ("GET", "/health"), ("HEAD", "/nope"), ("GET", "/health")]
+    with socket.create_connection(server, timeout=10) as sock:
+        sock.sendall(b"".join(f"{method} {path} HTTP/1.1\r\nHost: test\r\n\r\n".encode("ascii")
+                              for method, path in sent))
+        sock.shutdown(socket.SHUT_WR)
+        reply = read_until_close(sock)
+    answers = []
+    for method, _ in sent:
+        head, _, reply = reply.partition(b"\r\n\r\n")
+        status_line, *lines = head.decode("latin-1").split("\r\n")
+        fields = dict(line.split(": ", 1) for line in lines)
+        size = 0 if method == "HEAD" else int(fields["Content-Length"])
+        answers.append((status_line.split(" ")[1], fields["Content-Length"],
+                        fields.get("Allow"), reply[:size]))
+        reply = reply[size:]
+    assert answers == [("405", "18", "GET, POST", b""), ("200", "2", None, b"ok"),
+                       ("404", "9", None, b""), ("200", "2", None, b"ok")]
+    assert reply == b""
+
+
+def test_each_request_logs_one_line(server, caplog):
+    caplog.set_level(logging.INFO, logger="plantkb.endpoint")
+    sent = [("GET", "/health?log=1", 200), ("GET", "/sparql?log=2", 400),
+            ("GET", "/nope?log=3", 404), ("PUT", "/sparql?log=4", 405),
+            ("HEAD", "/sparql?log=6", 405)]
+    for method, path, status in sent:
+        assert request(server, method, path)[0] == status
+    with socket.create_connection(server, timeout=10) as sock:
+        sock.sendall(f"POST /sparql?log=5 HTTP/1.1\r\nHost: test\r\n"
+                     f"Content-Length: {MAX_BODY_BYTES + 1}\r\n\r\n".encode("ascii"))
+        assert read_until_close(sock).startswith(b"HTTP/1.1 413 ")
+    sent.append(("POST", "/sparql?log=5", 413))
+
+    def logged():
+        return [r for r in caplog.records
+                if r.name == "plantkb.endpoint" and "log=" in str(r.args[1])]
+
+    # the line is logged after the body is written, so it may trail the reply
+    deadline = time.monotonic() + 1.0
+    while len(logged()) < len(sent) and time.monotonic() < deadline:
+        time.sleep(0.01)
+    records = logged()
+    assert sorted(r.args[:3] for r in records) == sorted(sent)
+    assert all(r.levelno == logging.INFO and r.args[3] >= 0.0 for r in records)
 
 
 def test_connection_keep_alive(server):

@@ -129,6 +129,9 @@ SPARQL = [
     ('SELECT ?x WHERE { ?x ?p ?o } # note\n LIMIT', ('ParseError', 'line 2, column 7: expected LIMIT count')),
     ('SELECT ?x WHERE { ?x ?p ?o } LIMIT 5 OFFSET', ('ParseError', 'line 1, column 44: expected OFFSET count')),
     ('SELECT ?x WHERE { ?x ?p <http://e/a{b> }', (None, None)),
+    ('SELECT ?x\nWHERE { ?x ?p ?o }\nORDER BY DESC(?y)', ('ParseError', "line 1, column 1: ORDER BY variable ?y does not appear in any pattern (near '?y')")),
+    ('SELECT ?x WHERE { ?x ?p ?o } LIMIT 5 LIMIT 3', (None, None)),
+    ('SELECT ?x WHERE { ?x ?p ?o } OFFSET 1 OFFSET 2', (None, None)),
 ]
 
 CHANGED = {
@@ -173,6 +176,14 @@ CHANGED = {
     '<http://e/s> <http://e/p> <http://e/a\x01b> .': ('ParseError', "line 1, column 38: invalid character '\\x01' in IRI reference (near '\\x01')"),
     '@prefix ex: <http://e/{x}/> .': ('ParseError', "line 1, column 23: invalid character '{' in IRI reference (near '{')"),
     'SELECT ?x WHERE { ?x ?p <http://e/a{b> }': ('ParseError', "line 1, column 31: unexpected character '/' (near '/')"),
+    # A selected or ORDER BY variable that no pattern binds is reported at its
+    # own token; it used to be reported at line 1, column 1.
+    'SELECT ?ghost WHERE { ?s ?p ?o }': ('ParseError', "line 1, column 8: selected variable ?ghost does not appear in any pattern (near '?ghost')"),
+    'SELECT ?x\nWHERE { ?x ?p ?o }\nORDER BY DESC(?y)': ('ParseError', "line 3, column 15: ORDER BY variable ?y does not appear in any pattern (near '?y')"),
+    # A second LIMIT or OFFSET is an error, as a second ORDER BY is; the last
+    # value used to win silently.
+    'SELECT ?x WHERE { ?x ?p ?o } LIMIT 5 LIMIT 3': ('ParseError', "line 1, column 38: LIMIT given twice (near 'LIMIT')"),
+    'SELECT ?x WHERE { ?x ?p ?o } OFFSET 1 OFFSET 2': ('ParseError', "line 1, column 39: OFFSET given twice (near 'OFFSET')"),
 }
 
 
