@@ -12,13 +12,16 @@ immutable snapshot; request handlers never take locks.  GET and POST of the
 same query produce byte-identical bodies.  The bind address comes from the
 --bind flag, then the PLANTKB_BIND environment variable, then 127.0.0.1:3030.
 
-A POST body sent with Transfer-Encoding (411: chunked bodies are not decoded)
-or over MAX_BODY_BYTES, 1 MiB (413), is never read: the answer carries
-Connection: close, the connection is half-closed, and what the client still
-sends is dropped for up to LINGER_S, so that the client can read it first.
+Every request's body is read before its method runs, whatever the method and
+path, so a body is never taken as the next request on the connection.  A body
+sent with Transfer-Encoding (411: chunked bodies are not decoded), with a
+Content-Length that is not a non-negative integer (400), or over
+MAX_BODY_BYTES, 1 MiB (413), is never read: the answer carries Connection:
+close, the connection is half-closed, and what the client still sends is
+dropped for up to LINGER_S, so that the client can read it first.
 
 A connection that sends nothing for REQUEST_TIMEOUT_S (30 s) is closed; if it
-stalls inside a POST body, it first gets 408 with Connection: close.
+stalls inside a request body, it first gets 408 with Connection: close.
 
 A HEAD request gets headers only.  Each response logs one INFO line: method,
 path, status, and ms from reading the request line to writing the body.
@@ -44,7 +47,7 @@ from .turtle import parse_turtle
 
 DEFAULT_BIND = "127.0.0.1:3030"
 BIND_ENV_VAR = "PLANTKB_BIND"
-# a POST /sparql body declared larger than this gets 413 and is never read
+# a request body declared larger than this gets 413 and is never read
 MAX_BODY_BYTES = 1 << 20
 # how long a connection closed with an unread body drops what still arrives
 LINGER_S = 2.0
@@ -114,7 +117,7 @@ def _prefers_csv(accept: str | None) -> bool:
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     # a read or write that waits longer raises TimeoutError; the stdlib then
-    # closes the connection (do_POST answers a stalled body with 408 first)
+    # closes the connection (parse_request answers a stalled body with 408 first)
     timeout = REQUEST_TIMEOUT_S
     dataset: Graph
     dataset_stats: dict[str, int]
@@ -123,9 +126,31 @@ class _Handler(BaseHTTPRequestHandler):
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
         pass
 
-    def parse_request(self) -> bool:  # runs before every do_* method
+    def parse_request(self) -> bool:
+        """Read the request line, headers and body before any do_* method runs;
+        after a refusal, none runs."""
         self._started = time.monotonic()
-        return super().parse_request()
+        if not super().parse_request():
+            return False
+        # Transfer-Encoding overrides Content-Length (RFC 9112, section 6.3)
+        if "Transfer-Encoding" in self.headers:
+            self._refuse(411, b"Transfer-Encoding is not supported; send Content-Length")
+            return False
+        length = self.headers.get("Content-Length") or "0"
+        if not (length.isascii() and length.isdigit()):
+            # unknown body framing: the connection cannot be reused (RFC 9112, section 6.3)
+            self._refuse(400, b"Content-Length must be a non-negative integer")
+            return False
+        if int(length) > MAX_BODY_BYTES:
+            self._refuse(413, f"request body exceeds {MAX_BODY_BYTES} bytes".encode("ascii"))
+            return False
+        try:
+            self._body = self.rfile.read(int(length))
+        except TimeoutError:
+            # RFC 9110, section 15.5.9; what the client sends later is dropped
+            self._refuse(408, f"request body not received within {self.timeout:g} s".encode("ascii"))
+            return False
+        return True
 
     def _finish(self, status: int, body: bytes, content_type: str = "text/plain; charset=utf-8",
                 headers: dict[str, str] | None = None) -> None:
@@ -188,29 +213,11 @@ class _Handler(BaseHTTPRequestHandler):
             self._finish(404, b"not found")
 
     def do_POST(self) -> None:
-        # Transfer-Encoding overrides Content-Length (RFC 9112, section 6.3)
-        if "Transfer-Encoding" in self.headers:
-            self._refuse(411, b"Transfer-Encoding is not supported; send Content-Length")
-            return
         if urlsplit(self.path).path != "/sparql":
             self._finish(404, b"not found")
             return
-        length = self.headers.get("Content-Length") or "0"
-        if not (length.isascii() and length.isdigit()):
-            # unknown body framing: the connection cannot be reused (RFC 9112, section 6.3)
-            self._refuse(400, b"Content-Length must be a non-negative integer")
-            return
-        if int(length) > MAX_BODY_BYTES:
-            self._refuse(413, f"request body exceeds {MAX_BODY_BYTES} bytes".encode("ascii"))
-            return
         try:
-            raw = self.rfile.read(int(length))
-        except TimeoutError:
-            # RFC 9110, section 15.5.9; what the client sends later is dropped
-            self._refuse(408, f"request body not received within {self.timeout:g} s".encode("ascii"))
-            return
-        try:
-            text = raw.decode("utf-8")
+            text = self._body.decode("utf-8")
         except UnicodeDecodeError:
             self._finish(400, b"body is not valid UTF-8")
             return

@@ -27,14 +27,13 @@ from enum import Enum
 
 from .graph import Graph
 from .ontology import _objects_by_subject, extract_ontology
-from .reasoner import InconsistencyKind, check_consistency
+from .reasoner import InconsistencyKind, _asserted_subclass_edges, check_consistency
 from .terms import (
     RDF_LANG_STRING,
     RDF_TYPE,
     RDFS_DOMAIN,
     RDFS_LABEL,
     RDFS_RANGE,
-    RDFS_SUBCLASSOF,
     XSD,
     Iri,
     Literal,
@@ -109,11 +108,7 @@ def run_checks(graph: Graph, cfg: CheckConfig | None = None) -> list[Diagnostic]
             if not any(isinstance(o, Literal) for o in labels.get(p, ())):
                 out.append(Diagnostic("MD001", Severity.ERROR, p, "property has no rdfs:label"))
 
-    # Asserted subclass digraph over IRI endpoints; used by CN001.
-    asserted_edges: set[tuple[Iri, Iri]] = set()
-    for t in graph.match(TriplePattern(None, RDFS_SUBCLASSOF, None)):
-        if isinstance(t.subject, Iri) and isinstance(t.object, Iri):
-            asserted_edges.add((t.subject, t.object))
+    asserted_edges = _asserted_subclass_edges(graph)  # used by CN001 and CN003
 
     if "CN001" in enabled:
         succ: dict[Iri, set[Iri]] = {}
@@ -199,7 +194,7 @@ def run_checks(graph: Graph, cfg: CheckConfig | None = None) -> list[Diagnostic]
             if finding.kind is InconsistencyKind.DISJOINTNESS_VIOLATION:
                 if "CS001" not in enabled:
                     continue
-                individual = finding.witness.subject if finding.witness else finding.members[0]
+                individual = finding.witness.subject
                 subject = individual if isinstance(individual, Iri) else finding.members[0]
                 a, b = finding.members
                 out.append(Diagnostic(

@@ -2,21 +2,26 @@
 
 The rule set is the RDFS entailment core plus the OWL property
 characteristics the bundled ontology uses: subclass transitivity, type
-inheritance, domain/range inference, subproperty inheritance, transitive /
+inheritance, domain/range typing, subproperty inheritance, transitive /
 inverse / symmetric properties, and owl:Thing membership for every declared
 class.  Every inferred triple records the rule that first derived it.
 
 Reflexive subclass edges (A subClassOf A) are never materialized.  The range
 rule is narrower than rdfs3 (RDF 1.1 Semantics §9.2): it needs the range
-declared an owl:Class, and it never types a literal object.
+declared an owl:Class, and it never types a literal object.  Of the OWL 2 RL
+rules for this vocabulary (OWL 2 Profiles §4.3), these are not implemented:
+prp-inv2 (owl:inverseOf fires only in its asserted direction), scm-spo
+(rdfs:subPropertyOf is not closed), and cax-eqc1/2 and prp-eqp1/2
+(owl:equivalentClass and owl:equivalentProperty are ignored).
 
 Materialization is round-based semi-naive evaluation over term ids
 (Bancilhon & Ramakrishnan 1986).  The store is read once, into per-predicate
 tables of (subject id, object id) pairs grouped by subject and by object.
 Each sweep joins only the previous sweep's new triples against those tables,
-then appends its own new triples to them.  Inside ``_derive``, ``axiom_pairs``
-writes that split once for the axiom rules (3, 5, 7: ``p X c`` with p's
-pairs) and ``typed_pairs`` once for the typed-property rules (6, 8).  A sweep
+then appends its own new triples to them.  Inside ``_derive``, ``chain``
+writes that split once for the two-premise chains (rules 1, 2, 6),
+``axiom_pairs`` for the axiom rules (3, 5, 7: ``p X c`` with p's pairs) and
+``typed_pairs`` for the typed-property rules (6, 8).  A sweep
 derives exactly the new triples a naive sweep over the whole store would,
 rule by rule, so sweep counts and first-rule credit match naive re-evaluation.
 
@@ -201,32 +206,30 @@ def _derive(
             if d is not None and (p, TY, K) not in new:
                 yield p, d
 
+    def chain(left: _Table, dleft: _Table, R: int, right: _Table, dright: _Table) -> Iterator[tuple[int, int]]:
+        """(x, z) for each x R y joined with y's pairs in ``right``: a new left
+        pair with all of them, then an old left pair with y's new ones."""
+        for x, ys in dleft.succ.items():
+            for y in ys:
+                for z in right.succ.get(y, ()):
+                    yield x, z
+        for y, zs in dright.succ.items():
+            olds = [x for x in left.pred.get(y, ()) if (x, R, y) not in new]
+            for z in zs:
+                for x in olds:
+                    yield x, z
+
     # 1. A subClassOf B, B subClassOf C => A subClassOf C (never reflexive)
     rule = RuleId.SUBCLASS_TRANS
-    for a, bs in dsc.succ.items():
-        for b in bs:
-            for c in sc.succ.get(b, ()):
-                if c != a:
-                    derive((a, SC, c), rule)
-    for b, cs in dsc.succ.items():
-        olds = [a for a in sc.pred.get(b, ()) if (a, SC, b) not in new]
-        for c in cs:
-            for a in olds:
-                if c != a:
-                    derive((a, SC, c), rule)
+    for a, c in chain(sc, dsc, SC, sc, dsc):
+        if c != a:
+            derive((a, SC, c), rule)
 
     # 2. x type A, A subClassOf B => x type B
     # Literals are never subjects, so a literal A has no supers.
     rule = RuleId.TYPE_INHERIT
-    for x, as_ in dty.succ.items():
-        for a in as_:
-            for b in sc.succ.get(a, ()):
-                derive((x, TY, b), rule)
-    for a, bs in dsc.succ.items():
-        olds = [x for x in ty.pred.get(a, ()) if (x, TY, a) not in new]
-        for b in bs:
-            for x in olds:
-                derive((x, TY, b), rule)
+    for x, b in chain(ty, dty, TY, sc, dsc):
+        derive((x, TY, b), rule)
 
     # 3. p domain C, x p y => x type C
     # Only IRIs are predicates, so a non-IRI p has no pairs.
@@ -269,16 +272,9 @@ def _derive(
     rule = RuleId.TRANSITIVE_PROP
     for p, pairs in typed_pairs(TRANS):
         t = table(p)
-        for x, ys in pairs.succ.items():
-            for y in ys:
-                for z in t.succ.get(y, ()):
-                    derive((x, p, z), rule)
-        if pairs is not t:  # an old typed p: old pairs x p y, then its new pairs y p z
-            for y, zs in pairs.succ.items():
-                olds = [x for x in t.pred.get(y, ()) if (x, p, y) not in new]
-                for z in zs:
-                    for x in olds:
-                        derive((x, p, z), rule)
+        # a newly typed p joins all its pairs in the first half; the second adds nothing
+        for x, z in chain(t, pairs, p, t, _EMPTY if pairs is t else pairs):
+            derive((x, p, z), rule)
 
     # 7. p inverseOf q, x p y => y q x, unless y is a literal
     rule = RuleId.INVERSE_PROP
@@ -428,20 +424,17 @@ def subclass_cycles(edges: Iterable[tuple[Iri, Iri]]) -> list[tuple[Iri, ...]]:
     return cycles
 
 
-def check_consistency(graph: Graph, inference: InferenceResult | None = None) -> list[Inconsistency]:
-    """Report disjointness violations and subclass cycles.
+def _asserted_subclass_edges(graph: Graph) -> set[tuple[Iri, Iri]]:
+    """The (sub, super) pairs of the graph's own rdfs:subClassOf triples with IRI ends."""
+    return {(t.subject, t.object) for t in graph.match(TriplePattern(None, RDFS_SUBCLASSOF, None))
+            if isinstance(t.subject, Iri) and isinstance(t.object, Iri)}
 
-    With ``inference`` given, the graph is taken as already materialized.
-    Without it, the graph is treated as asserted input and a working copy is
-    materialized internally.  Either way the asserted subclass edges are the
-    materialized graph's minus the inferred ones.
-    """
-    if inference is None:
-        work = graph.copy()
-        inference = materialize(work)
-    else:
-        work = graph
 
+def check_consistency(graph: Graph) -> list[Inconsistency]:
+    """Disjointness violations in a materialized copy of the asserted graph,
+    then the cycles of its own subclass edges; the graph is left as it is."""
+    work = graph.copy()
+    materialize(work)
     findings: list[Inconsistency] = []
 
     # Disjointness: one finding per (individual, unordered class pair).
@@ -462,14 +455,9 @@ def check_consistency(graph: Graph, inference: InferenceResult | None = None) ->
                 )
             )
 
-    # Cycles in the asserted subclass digraph (IRI endpoints only).
-    asserted = (
-        (t.subject, t.object)
-        for t in work.match(TriplePattern(None, RDFS_SUBCLASSOF, None))
-        if t not in inference.added and isinstance(t.subject, Iri) and isinstance(t.object, Iri)
-    )
+    # Cycles among the graph's own subclass edges.
     findings.extend(
         Inconsistency(kind=InconsistencyKind.SUBCLASS_CYCLE, members=cycle)
-        for cycle in subclass_cycles(asserted)
+        for cycle in subclass_cycles(_asserted_subclass_edges(graph))
     )
     return findings

@@ -242,12 +242,9 @@ class _QueryParser(TokenParser):
             op = op_tok[1]
             if op not in _COMPARISON_OPS:
                 raise self._error(f"unsupported operator {op}", op_tok)
-            const_tok = self.tok
-            if const_tok[0] == "var":
-                raise self._error("FILTER right-hand side must be a constant", const_tok)
+            if self._at("var"):
+                raise self._error("FILTER right-hand side must be a constant", self.tok)
             const = self._pattern_term(allow_literal=True)
-            if not isinstance(const, (Iri, Literal, BlankNode)):
-                raise self._error("FILTER constant expected", const_tok)
             expr = FilterExpr(op=op, left=var[1], right=const)  # type: ignore[arg-type]
         if outer_paren:
             self._expect("rparen", "')' closing FILTER")

@@ -362,6 +362,42 @@ def test_head_gets_headers_without_a_body(server):
     assert reply == b""
 
 
+@pytest.mark.parametrize("method, path, status", [
+    ("GET", "/health", "200"), ("POST", "/other", "404"), ("PUT", "/sparql", "405"),
+    ("DELETE", "/x", "404"), ("PATCH", "/sparql", "405"), ("HEAD", "/health", "404"),
+])
+def test_every_request_body_is_read_before_the_next_request(server, method, path, status):
+    # a body the method did not use stayed on the connection and was parsed
+    # as the next request, so a /stats answer followed (RFC 9112, section 6.3)
+    hidden = b"GET /stats HTTP/1.1\r\nHost: x\r\n\r\n"
+    with socket.create_connection(server, timeout=10) as sock:
+        sock.sendall(f"{method} {path} HTTP/1.1\r\nHost: test\r\n"
+                     f"Content-Length: {len(hidden)}\r\n\r\n".encode("ascii") + hidden
+                     + b"GET /health HTTP/1.1\r\nHost: test\r\n\r\n")
+        sock.shutdown(socket.SHUT_WR)
+        reply = read_until_close(sock)
+    answers = []
+    for sent in (method, "GET"):
+        head, _, reply = reply.partition(b"\r\n\r\n")
+        fields = dict(line.split(": ", 1) for line in head.decode("latin-1").split("\r\n")[1:])
+        size = 0 if sent == "HEAD" else int(fields["Content-Length"])
+        answers.append((head.split(b" ")[1].decode("ascii"), fields.get("Connection")))
+        body, reply = reply[:size], reply[size:]
+    assert answers == [(status, None), ("200", None)]
+    assert body == b"ok" and reply == b""
+
+
+def test_transfer_encoding_on_get_gets_411_and_close(server):
+    with socket.create_connection(server, timeout=10) as sock:
+        sock.sendall(b"GET /health HTTP/1.1\r\nHost: test\r\nTransfer-Encoding: chunked\r\n\r\n"
+                     b"0\r\n\r\nGET /health HTTP/1.1\r\nHost: test\r\n\r\n")
+        reply = read_until_close(sock)
+    head, _, body = reply.partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 411 ")
+    assert b"Connection: close" in head
+    assert body == b"Transfer-Encoding is not supported; send Content-Length"
+
+
 def test_each_request_logs_one_line(server, caplog):
     caplog.set_level(logging.INFO, logger="plantkb.endpoint")
     sent = [("GET", "/health?log=1", 200), ("GET", "/sparql?log=2", 400),
