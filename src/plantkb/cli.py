@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import re
 import sys
 
 from .endpoint import DatasetConfig, resolve_bind, serve
@@ -39,6 +40,15 @@ def _load_graph(path: str) -> Graph:
 def _fail(message: str, code: int) -> int:
     print(f"error: {message}", file=sys.stderr)
     return code
+
+
+def _pattern(text: str) -> str:
+    """An argparse type: the text itself, once it compiles as a regular expression."""
+    try:
+        re.compile(text)
+    except re.error as exc:
+        raise argparse.ArgumentTypeError(f"not a regular expression: {exc}") from None
+    return text
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
@@ -140,8 +150,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.add_argument("--no-labels-check", action="store_true")
-    p.add_argument("--class-pattern", default=DEFAULT_CLASS_PATTERN)
-    p.add_argument("--property-pattern", default=DEFAULT_PROPERTY_PATTERN)
+    p.add_argument("--class-pattern", type=_pattern, default=DEFAULT_CLASS_PATTERN)
+    p.add_argument("--property-pattern", type=_pattern, default=DEFAULT_PROPERTY_PATTERN)
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("infer", help="materialize inferences to a new Turtle file")

@@ -23,8 +23,13 @@ dropped for up to LINGER_S, so that the client can read it first.
 A connection that sends nothing for REQUEST_TIMEOUT_S (30 s) is closed; if it
 stalls inside a request body, it first gets 408 with Connection: close.
 
+The refusals the stdlib makes before a do_* method runs (a bad request line,
+414, 431, 501, 505) are plain text with an HTTP/1.1 status line and
+Connection: close, like every other refusal.
+
 A HEAD request gets headers only.  Each response logs one INFO line: method,
-path, status, and ms from reading the request line to writing the body.
+path (both "-" when the request line could not be read), status, and ms from
+reading the request line to writing the body.
 """
 
 from __future__ import annotations
@@ -183,6 +188,21 @@ class _Handler(BaseHTTPRequestHandler):
                     break
         except OSError:
             pass
+
+    def send_error(self, code: int, message: str | None = None, explain: str | None = None) -> None:
+        """Answer the refusals the stdlib makes itself through _refuse: 400 or
+        505 for a bad request line, 414 for one over 64 KiB, 431 for bad
+        headers, 501 for a method with no do_* method.
+
+        The stdlib sends a 414 before parse_request runs, and a bad request
+        line before parse_request sets the method and path; at a bad line it
+        leaves the version at HTTP/0.9, for which no status line is written.
+        """
+        if not self.command:  # no method or path was parsed
+            self.command = self.path = "-"
+            self._started = time.monotonic()
+        self.request_version = "HTTP/1.1"
+        self._refuse(code, (message or self.responses[code][0]).encode("utf-8"))
 
     def _run_query(self, values: list[str] | None, missing: bytes) -> None:
         """Answer the first of ``values``, or 400 with ``missing`` if there is none."""

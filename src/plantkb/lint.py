@@ -14,19 +14,21 @@ Check catalog (stable codes):
     CS001  error    disjointness violation (from the consistency checker)
     CS002  error    subclass cycle (from the consistency checker)
 
-Diagnostics are deterministic: same graph and config, same list, ordered by
-code then subject IRI.
+Every check runs, and ``CheckConfig.enabled_codes`` filters what is reported;
+the one exception is CS001/CS002, whose checker copies and materializes the
+graph and is skipped when both codes are off.  Diagnostics are deterministic:
+same graph and config, same list, ordered by code, then subject, then message.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from .graph import Graph
-from .ontology import _objects_by_subject, extract_ontology
+from .ontology import _best_label, _objects_by_subject, extract_ontology
 from .reasoner import InconsistencyKind, _asserted_subclass_edges, check_consistency
 from .terms import (
     RDF_LANG_STRING,
@@ -37,6 +39,7 @@ from .terms import (
     XSD,
     Iri,
     Literal,
+    Term,
     TriplePattern,
     term_sort_key,
 )
@@ -74,142 +77,80 @@ def _is_datatype_iri(iri: Iri) -> bool:
 
 
 def run_checks(graph: Graph, cfg: CheckConfig | None = None) -> list[Diagnostic]:
-    """Run every enabled catalog check and return the sorted diagnostics."""
+    """Run the catalog checks and return the sorted diagnostics of the enabled codes."""
     cfg = cfg or CheckConfig()
-    enabled = cfg.enabled_codes
-    class_re = re.compile(cfg.class_name_pattern)
-    property_re = re.compile(cfg.property_name_pattern)
+    out: list[Diagnostic] = []
+
+    def report(code: str, subject: Iri, message: str, severity: Severity = Severity.ERROR) -> None:
+        if code in cfg.enabled_codes:
+            out.append(Diagnostic(code, severity, subject, message))
 
     view = extract_ontology(graph)
     labels = _objects_by_subject(graph, RDFS_LABEL)
-    out: list[Diagnostic] = []
+    for code, what, decls, pattern in (
+        ("NC001", "class", view.classes, cfg.class_name_pattern),
+        ("NC002", "property", view.properties, cfg.property_name_pattern),
+    ):
+        name_re = re.compile(pattern)
+        for iri in decls:
+            if not name_re.search(iri.local_name()):
+                report(code, iri, f"{what} local name '{iri.local_name()}' does not match pattern {pattern}")
+            if _best_label(labels.get(iri, ())) is None:
+                report("MD001", iri, f"{what} has no rdfs:label")
 
-    if "NC001" in enabled:
-        for c in view.classes:
-            if not class_re.search(c.local_name()):
-                out.append(Diagnostic(
-                    "NC001", Severity.ERROR, c,
-                    f"class local name '{c.local_name()}' does not match pattern {cfg.class_name_pattern}",
-                ))
+    asserted_edges = _asserted_subclass_edges(graph)
+    succ: dict[Iri, set[Iri]] = {}
+    for a, b in asserted_edges:
+        succ.setdefault(a, set()).add(b)
+    for a, b in asserted_edges:
+        if a != b and _reachable_without(succ, a, b, excluded=(a, b)):
+            report("CN001", a, f"subclass edge to <{b.value}> is redundant: "
+                   "another asserted path already implies it")
 
-    if "NC002" in enabled:
-        for p in view.properties:
-            if not property_re.search(p.local_name()):
-                out.append(Diagnostic(
-                    "NC002", Severity.ERROR, p,
-                    f"property local name '{p.local_name()}' does not match pattern {cfg.property_name_pattern}",
-                ))
+    by_label: dict[str, set[Iri]] = {}
+    for c in view.classes:
+        for o in labels.get(c, ()):
+            if isinstance(o, Literal):
+                by_label.setdefault(o.lexical, set()).add(c)
+    for label, classes in by_label.items():
+        if len(classes) > 1:
+            for c in classes:
+                others = ", ".join(f"<{o.value}>" for o in sorted(classes - {c}, key=term_sort_key))
+                report("CN002", c, f"label '{label}' is also used by {others}")
 
-    if "MD001" in enabled:
-        for c, decl in view.classes.items():
-            if decl.label is None:
-                out.append(Diagnostic("MD001", Severity.ERROR, c, "class has no rdfs:label"))
-        for p in view.properties:
-            if not any(isinstance(o, Literal) for o in labels.get(p, ())):
-                out.append(Diagnostic("MD001", Severity.ERROR, p, "property has no rdfs:label"))
+    # one pass over the id-triples instead of one read per individual
+    used: set[Term] = {b for _, b in asserted_edges}
+    for pred in (RDFS_DOMAIN, RDFS_RANGE, RDF_TYPE):
+        used.update(t.object for t in graph.match(TriplePattern(None, pred, None)))
+    individual_ids = {graph.term_id(ind) for ind in view.individuals}
+    object_ids = {o for s, _, o in graph.match_ids(None, None, None) if s in individual_ids}
+    used.update(map(graph.term, object_ids))
+    for c in view.classes:
+        if c not in used:
+            report("CN003", c, "orphan class: no instances, no subclasses, not used in any domain, "
+                   "range, or individual assertion")
 
-    asserted_edges = _asserted_subclass_edges(graph)  # used by CN001 and CN003
+    for p, decl in view.properties.items():
+        for end, iris in (("domain", decl.domain), ("range", decl.range)):
+            for c in iris:
+                if c not in view.classes and not (end == "range" and _is_datatype_iri(c)):
+                    report("RF001", p, f"{end} references undeclared class <{c.value}>")
 
-    if "CN001" in enabled:
-        succ: dict[Iri, set[Iri]] = {}
-        for a, b in asserted_edges:
-            succ.setdefault(a, set()).add(b)
-        for a, b in sorted(asserted_edges, key=lambda e: (term_sort_key(e[0]), term_sort_key(e[1]))):
-            if a == b:
-                continue
-            if _reachable_without(succ, a, b, excluded=(a, b)):
-                out.append(Diagnostic(
-                    "CN001", Severity.ERROR, a,
-                    f"subclass edge to <{b.value}> is redundant: another asserted path already implies it",
-                ))
+    for c in view.classes:
+        if c in view.individuals:
+            report("MM001", c, "subject is declared both as a class and as an individual", Severity.WARNING)
 
-    if "CN002" in enabled:
-        by_label: dict[str, list[Iri]] = {}
-        for c in view.classes:
-            for o in labels.get(c, ()):
-                if isinstance(o, Literal):
-                    by_label.setdefault(o.lexical, []).append(c)
-        for label, classes in by_label.items():
-            distinct = sorted(set(classes), key=term_sort_key)
-            if len(distinct) > 1:
-                for c in distinct:
-                    others = ", ".join(f"<{o.value}>" for o in distinct if o != c)
-                    out.append(Diagnostic(
-                        "CN002", Severity.ERROR, c,
-                        f"label '{label}' is also used by {others}",
-                    ))
-
-    if "CN003" in enabled:
-        used_as_parent = {b for _, b in asserted_edges}
-        used_in_axiom: set[Iri] = set()
-        for pred in (RDFS_DOMAIN, RDFS_RANGE):
-            for t in graph.match(TriplePattern(None, pred, None)):
-                if isinstance(t.object, Iri):
-                    used_in_axiom.add(t.object)
-        # one pass over the store's id-triples instead of one read per individual
-        individual_ids = {graph.term_id(ind) for ind in view.individuals}
-        object_ids = {o for s, _, o in graph.match_ids(None, None, None) if s in individual_ids}
-        mentioned_by_individual = {
-            term for term in map(graph.term, object_ids) if isinstance(term, Iri)
-        }
-        typed = {t.object for t in graph.match(TriplePattern(None, RDF_TYPE, None))}
-        for c in view.classes:
-            if (
-                c not in typed
-                and c not in used_as_parent
-                and c not in used_in_axiom
-                and c not in mentioned_by_individual
-            ):
-                out.append(Diagnostic(
-                    "CN003", Severity.ERROR, c,
-                    "orphan class: no instances, no subclasses, not used in any domain, "
-                    "range, or individual assertion",
-                ))
-
-    if "RF001" in enabled:
-        for p, decl in view.properties.items():
-            for d in sorted(decl.domain, key=term_sort_key):
-                if d not in view.classes:
-                    out.append(Diagnostic(
-                        "RF001", Severity.ERROR, p,
-                        f"domain references undeclared class <{d.value}>",
-                    ))
-            for r in sorted(decl.range, key=term_sort_key):
-                if r not in view.classes and not _is_datatype_iri(r):
-                    out.append(Diagnostic(
-                        "RF001", Severity.ERROR, p,
-                        f"range references undeclared class <{r.value}>",
-                    ))
-
-    if "MM001" in enabled:
-        for c in view.classes:
-            if c in view.individuals:
-                out.append(Diagnostic(
-                    "MM001", Severity.WARNING, c,
-                    "subject is declared both as a class and as an individual",
-                ))
-
-    if "CS001" in enabled or "CS002" in enabled:
+    if cfg.enabled_codes & {"CS001", "CS002"}:  # the check copies and materializes the graph
         for finding in check_consistency(graph):
+            names = [f"<{m.value}>" for m in finding.members]
             if finding.kind is InconsistencyKind.DISJOINTNESS_VIOLATION:
-                if "CS001" not in enabled:
-                    continue
                 individual = finding.witness.subject
-                subject = individual if isinstance(individual, Iri) else finding.members[0]
-                a, b = finding.members
-                out.append(Diagnostic(
-                    "CS001", Severity.ERROR, subject,
-                    f"individual is typed by disjoint classes <{a.value}> and <{b.value}>",
-                ))
+                report("CS001", individual if isinstance(individual, Iri) else finding.members[0],
+                       f"individual is typed by disjoint classes {names[0]} and {names[1]}")
             else:
-                if "CS002" not in enabled:
-                    continue
-                members = ", ".join(f"<{m.value}>" for m in finding.members)
-                out.append(Diagnostic(
-                    "CS002", Severity.ERROR, finding.members[0],
-                    f"subclass cycle: {members}",
-                ))
+                report("CS002", finding.members[0], "subclass cycle: " + ", ".join(names))
 
+    # (code, subject, message) orders distinct diagnostics fully
     out.sort(key=lambda d: (d.code, term_sort_key(d.subject), d.message))
     return out
 

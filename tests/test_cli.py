@@ -68,6 +68,17 @@ def test_validate_custom_class_pattern(capsys):
     assert main(["validate", path, "--class-pattern", "^.*$"]) == 0
 
 
+@pytest.mark.parametrize("flag", ["--class-pattern", "--property-pattern"])
+def test_validate_bad_naming_pattern_exits_2_without_traceback(flag, capsys):
+    # run_checks compiles the pattern, and would raise re.error
+    with pytest.raises(SystemExit) as exc:
+        main(["validate", CLEAN, flag, "("])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: not a regular expression: " in err
+    assert "Traceback" not in err
+
+
 # -- infer -----------------------------------------------------------------------
 
 

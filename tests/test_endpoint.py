@@ -398,11 +398,30 @@ def test_transfer_encoding_on_get_gets_411_and_close(server):
     assert body == b"Transfer-Encoding is not supported; send Content-Length"
 
 
+@pytest.mark.parametrize("line, status", [
+    (b"GET", 400),  # a request line with no target
+    (b"GET /" + b"x" * 70_000 + b" HTTP/1.1", 414),
+    (b"GET / HTTP/3.0", 505),
+], ids=["no-target", "overlong-line", "http-3"])
+def test_stdlib_refusals_have_a_status_line_and_plain_text(server, line, status):
+    # the stdlib refuses these before parse_request sets the version, and
+    # writes no status line for the HTTP/0.9 it leaves there
+    with socket.create_connection(server, timeout=10) as sock:
+        sock.sendall(line + b"\r\nHost: test\r\n\r\n")
+        reply = read_until_close(sock)
+    head, _, body = reply.partition(b"\r\n\r\n")
+    assert head.startswith(f"HTTP/1.1 {status} ".encode("ascii"))
+    assert b"Content-Type: text/plain; charset=utf-8" in head
+    assert b"Connection: close" in head
+    assert body and b"<" not in body
+    assert request(server, "GET", "/health")[0] == 200
+
+
 def test_each_request_logs_one_line(server, caplog):
     caplog.set_level(logging.INFO, logger="plantkb.endpoint")
     sent = [("GET", "/health?log=1", 200), ("GET", "/sparql?log=2", 400),
             ("GET", "/nope?log=3", 404), ("PUT", "/sparql?log=4", 405),
-            ("HEAD", "/sparql?log=6", 405)]
+            ("HEAD", "/sparql?log=6", 405), ("OPTIONS", "/sparql?log=7", 501)]
     for method, path, status in sent:
         assert request(server, method, path)[0] == status
     with socket.create_connection(server, timeout=10) as sock:

@@ -1,11 +1,18 @@
 """Validation checks: catalog coverage, configuration, deterministic rendering."""
 
+import functools
+import hashlib
 import json
+import random
 
+import oracles
+import pytest
 from plantkb.fixtures import fixture_graph, manifest
 from plantkb.graph import Graph
 from plantkb.lint import (
     ALL_CODES,
+    DEFAULT_CLASS_PATTERN,
+    DEFAULT_PROPERTY_PATTERN,
     CheckConfig,
     Diagnostic,
     Severity,
@@ -24,7 +31,9 @@ from plantkb.terms import (
     Iri,
     Literal,
     Triple,
+    term_sort_key,
 )
+from plantkb.turtle import parse_turtle
 
 EX = "http://example.test/l#"
 
@@ -199,3 +208,78 @@ def test_store_reads_do_not_grow_with_the_individuals(monkeypatch):
     # and C4 on are the domains of properties
     assert per_size[0] == per_size[1] == per_size[2]
     assert per_size[0][1] == [iri("C2")]
+
+
+# eight codes at once, and the cases the fixtures and random graphs miss: a
+# class that is also an individual, IRI-valued labels, a blank individual
+# typed by disjoint classes, and a range that is a datatype
+_MIXED_TTL = """\
+@prefix : <http://example.test/l#> .
+@prefix owl: <http://www.w3.org/2002/07/owl#> .
+@prefix rdfs: <http://www.w3.org/2000/01/rdf-schema#> .
+@prefix xsd: <http://www.w3.org/2001/XMLSchema#> .
+:Kind a owl:Class ; rdfs:label :kindLabel .
+:Dual a owl:Class, :Kind ; rdfs:label "dual" .
+:A a owl:Class ; rdfs:label "same" ; owl:disjointWith :B .
+:B a owl:Class ; rdfs:label "same" .
+:lower_case a owl:Class ; rdfs:subClassOf :Cyc ; rdfs:label "lc" .
+:Cyc a owl:Class ; rdfs:subClassOf :lower_case ; rdfs:label "cyc" .
+:hasPart a owl:ObjectProperty ; rdfs:label "has part" ;
+    rdfs:domain :Dual, :Missing ; rdfs:range :Gone, xsd:string .
+:Bad_prop a owl:DatatypeProperty ; rdfs:label :propLabel .
+_:x a :A, :B .
+"""
+
+
+@functools.cache
+def _lint_inputs():
+    """The ten fixtures in manifest order, _MIXED_TTL, then
+    random_ontology(Random(s)) for s in 0..99, inserted in term order so the
+    term-id table does not depend on the hash seed."""
+    def key(t):
+        return (term_sort_key(t.subject), term_sort_key(t.predicate), term_sort_key(t.object))
+
+    graphs = [fixture_graph(m.name) for m in manifest()]
+    graphs.append(parse_turtle(_MIXED_TTL).graph)
+    graphs += [
+        build(*sorted(oracles.random_ontology(random.Random(s)), key=key)) for s in range(100)
+    ]
+    return graphs
+
+
+_LINT_CONFIGS = [
+    CheckConfig(),
+    CheckConfig(enabled_codes=ALL_CODES - {"MD001"}),
+    CheckConfig(enabled_codes=ALL_CODES - {"CS001", "CS002"}),
+    CheckConfig(
+        enabled_codes=frozenset({"NC002", "CN003"}),
+        class_name_pattern=DEFAULT_PROPERTY_PATTERN,
+        property_name_pattern=DEFAULT_CLASS_PATTERN,
+    ),
+]
+# render_text + render_json of every input under each of _LINT_CONFIGS, in
+# order, chained into one hash
+_LINT_OUTPUT_DIGEST = "be9db4d3a962237515b24c254a042f6b78c2be1c4c60c368bc2813c27bce132c"
+
+
+def test_lint_output_matches_recorded_digest():
+    h = hashlib.sha256()
+    for cfg in _LINT_CONFIGS:
+        for g in _lint_inputs():
+            found = run_checks(g, cfg)
+            h.update(render_text(found).encode())
+            h.update(render_json(found).encode())
+    assert h.hexdigest() == _LINT_OUTPUT_DIGEST
+
+
+@functools.cache
+def _all_codes_results():
+    return [run_checks(g) for g in _lint_inputs()]
+
+
+@pytest.mark.parametrize("code", sorted(ALL_CODES))
+def test_each_code_turns_off_alone(code):
+    # the clean fixture has no findings to filter, so it is skipped
+    for g, everything in list(zip(_lint_inputs(), _all_codes_results()))[1:]:
+        without = run_checks(g, CheckConfig(enabled_codes=ALL_CODES - {code}))
+        assert without == [d for d in everything if d.code != code]
