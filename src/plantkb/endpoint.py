@@ -25,7 +25,8 @@ stalls inside a request body, it first gets 408 with Connection: close.
 
 The refusals the stdlib makes before a do_* method runs (a bad request line,
 414, 431, 501, 505) are plain text with an HTTP/1.1 status line and
-Connection: close, like every other refusal.
+Connection: close, like every other refusal.  One empty line before a
+request line is ignored.
 
 A HEAD request gets headers only.  Each response logs one INFO line: method,
 path (both "-" when the request line could not be read), status, and ms from
@@ -133,8 +134,18 @@ class _Handler(BaseHTTPRequestHandler):
 
     def parse_request(self) -> bool:
         """Read the request line, headers and body before any do_* method runs;
-        after a refusal, none runs."""
+        after a refusal, none runs.
+
+        One empty line before the request line is skipped (RFC 9112, section
+        2.2); a second one closes the connection without an answer.
+        """
         self._started = time.monotonic()
+        if self.raw_requestline in (b"\r\n", b"\n"):
+            self.command = self.requestline = ""  # a refusal logs "- -", not the previous request
+            self.raw_requestline = self.rfile.readline(65537)
+            if len(self.raw_requestline) > 65536:  # the stdlib's bound on the first line
+                self.send_error(414)
+                return False
         if not super().parse_request():
             return False
         # Transfer-Encoding overrides Content-Length (RFC 9112, section 6.3)

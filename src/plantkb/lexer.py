@@ -75,6 +75,8 @@ _HEAD = (
     ("long_string", r'"""|\'\'\''),
     ("string", r'"(?:[^"\\\n]|\\.)*"|\'(?:[^\'\\\n]|\\.)*\''),
     ("iriref", r'<[^\x00-\x20<>"{}|^`]*>'),
+    # '<...>' but for '{', '}', '|', '^' or the backtick: a malformed IRI, not SPARQL's '<'
+    ("bad_iriref", r'<[^\x00-\x20<>"]*>'),
     ("langtag", r"@(?:[^\W_]|-)*"),
     ("dt", r"\^\^"),
     ("blank", r"_:(?P<label>[A-Za-z0-9_](?:[A-Za-z0-9_.\-]*[A-Za-z0-9_\-])?)?"),
@@ -212,7 +214,7 @@ class Lexer:
                 return
             elif group == "long_string":
                 raise UnsupportedConstructError("triple-quoted string literal", *position(text, start), source)
-            elif group == "malformed":
+            elif group == "malformed" or group == "bad_iriref":
                 raise _malformed(text, start)
             else:
                 message = self.errors.get(source, f"unexpected character {source!r}")
@@ -325,6 +327,13 @@ class TokenParser:
         """Whether the lookahead is a ``kind`` token (with ``value``, if given)."""
         tok_kind, tok_value, _ = self.tok
         return tok_kind == kind and (value is None or tok_value == value)
+
+    def _accept(self, kind: str, value: object = None) -> bool:
+        """Take the lookahead if it is a ``kind`` token (with ``value``, if given)."""
+        if self._at(kind, value):
+            self._take()
+            return True
+        return False
 
     def _take(self) -> Token:
         tok = self.tok

@@ -105,39 +105,30 @@ class _QueryParser(TokenParser):
             self._prefix_declaration()
 
         self._expect("kw", "SELECT", "SELECT")
-        distinct = False
-        if self._at("kw", "DISTINCT"):
-            self._take()
-            distinct = True
+        distinct = self._accept("kw", "DISTINCT")
 
         selected: list[Token] = []  # empty for '*'
-        if self._at("star"):
-            self._take()
-        else:
+        if not self._accept("star"):
             while self._at("var"):
                 selected.append(self._take())
             if not selected:
                 raise self._error("expected projection variables or '*'", self.tok)
 
-        if self._at("kw", "WHERE"):
-            self._take()
+        self._accept("kw", "WHERE")
         self._expect("lbrace", "'{' opening the WHERE block")
 
         patterns: list[TriplePattern] = []
         filters: list[FilterExpr] = []
         while True:
-            if self._at("rbrace"):
-                self._take()
+            if self._accept("rbrace"):
                 break
             if self._at("eof"):
                 raise self._error("unclosed WHERE block: expected '}'", self.tok)
-            if self._at("kw", "FILTER"):
-                self._take()
+            if self._accept("kw", "FILTER"):
                 filters.append(self._filter())
             else:
                 patterns.append(self._triple_pattern())
-            if self._at("dot"):
-                self._take()
+            self._accept("dot")
 
         # variables that must occur in a pattern, checked once the whole query
         # has parsed so that a syntax error is reported first
@@ -191,8 +182,7 @@ class _QueryParser(TokenParser):
 
     def _triple_pattern(self) -> TriplePattern:
         s = self._pattern_term(allow_literal=False)
-        if self._at("a"):
-            self._take()
+        if self._accept("a"):
             p: object = RDF_TYPE
         else:
             p = self._pattern_term(allow_literal=False)
@@ -228,10 +218,7 @@ class _QueryParser(TokenParser):
 
     def _filter(self) -> FilterExpr:
         # FILTER ( ?v op const ) | FILTER regex(?v, "pat") | FILTER ( regex(?v, "pat") )
-        outer_paren = False
-        if self._at("lparen"):
-            self._take()
-            outer_paren = True
+        outer_paren = self._accept("lparen")
         if self._at("kw", "REGEX"):
             expr = self._regex_filter()
         else:

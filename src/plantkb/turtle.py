@@ -78,15 +78,21 @@ class ParseOutcome:
         return self.graph.prefix_map
 
 
-# Token kinds that can spell a term in each position of a statement (an
-# object may also be a quoted string or a '[ ... ]' list), and the kinds
-# after ';' that end a predicate-object list.
-_SUBJECT_KINDS = frozenset({"iriref", "pname", "blank"})
-_VERB_KINDS = frozenset({"iriref", "pname", "a"})
-_OBJECT_KINDS = frozenset({"iriref", "pname", "blank", "integer", "decimal", "boolean"})
+# What the statement loop reads next: a subject, a verb, an object, or what
+# follows an object.  For the first three, the kinds of the one-token terms
+# there (a '[' may also open a subject or an object, and an object may be a
+# string) and the error when the token starts no term.
+_SUBJECT, _VERB, _OBJECT, _NEXT = range(4)
+_TERM_KINDS = (
+    frozenset({"iriref", "pname", "blank"}),
+    frozenset({"iriref", "pname", "a"}),
+    frozenset({"iriref", "pname", "blank", "integer", "decimal", "boolean"}),
+)
+_TERM_ERRORS = ("subject expected (IRI or blank node)", "predicate expected (IRI or 'a')", "object expected")
+# the kinds after ';' that end a predicate-object list
 _LIST_ENDS = frozenset({"dot", "rbracket", "eof"})
-# what the statement loop reads next: a verb, an object, or what follows one
-_VERB, _OBJECT, _NEXT = range(3)
+# directive token kind -> its '@' form, which a '.' must end, or None for PREFIX/BASE
+_DIRECTIVES = {"prefix_directive": "@prefix", "base_directive": "@base", "sparql_prefix": None, "sparql_base": None}
 
 
 class _Pending:
@@ -110,48 +116,33 @@ class _Parser(TokenParser):
         # token kind -> token key -> the term's id, or its _Pending until the
         # term is interned.  A string's key is its text, with its language
         # tag ("langtag") or its datatype token ("dt") when it has one.
-        self._memo: dict[str, dict] = {
-            kind: {} for kind in (*_OBJECT_KINDS, "a", "string", "langtag", "dt")}
+        self._memo: dict[str, dict] = {kind: {} for kind in (*_TERM_KINDS[_OBJECT], "a", "string", "langtag", "dt")}
         self._batch: list[tuple[int, int, int]] = []  # the document's id-triples
 
     def parse(self) -> ParseOutcome:
         return self._whole_text(self._document)
 
     def _document(self) -> ParseOutcome:
-        while True:
-            kind = self.tok[0]
-            if kind == "eof":
-                break
-            if kind == "prefix_directive":
-                self._prefix_directive(dotted=True)
-            elif kind == "base_directive":
-                self._base_directive(dotted=True)
-            elif kind == "sparql_prefix":
-                self._prefix_directive(dotted=False)
-            elif kind == "sparql_base":
-                self._base_directive(dotted=False)
+        while (kind := self.tok[0]) != "eof":
+            if kind in _DIRECTIVES:
+                self._directive(kind)
             else:
                 self._triples_statement()
         self.graph.add_ids(self._batch)
         return ParseOutcome(graph=self.graph, base_iri=self.base)
 
-    def _prefix_directive(self, dotted: bool) -> None:
-        self._prefix_declaration()
-        self._forget()
-        if dotted:
-            self._expect("dot", "'.' after @prefix directive")
-
-    def _base_directive(self, dotted: bool) -> None:
-        self._take()
-        self.base = self._resolve(self._expect("iriref", "base IRI"))
-        self._forget()
-        if dotted:
-            self._expect("dot", "'.' after @base directive")
-
-    def _forget(self) -> None:
-        """Drop every token key: a rebound prefix or base changes what a name means."""
-        for memo in self._memo.values():
-            memo.clear()
+    def _directive(self, kind: str) -> None:
+        """A prefix or base directive.  Rebinding either changes what a name
+        means, so every token key read so far is dropped."""
+        if "prefix" in kind:
+            self._prefix_declaration()
+        else:
+            self._take()
+            self.base = self._resolve(self._expect("iriref", "base IRI"))
+        self._memo = {k: {} for k in self._memo}
+        at_form = _DIRECTIVES[kind]
+        if at_form is not None:
+            self._expect("dot", f"'.' after {at_form} directive")
 
     # -- statements ----------------------------------------------------------
 
@@ -168,82 +159,14 @@ class _Parser(TokenParser):
         # per open '[': the subject and predicate around it and its token; a
         # list that is the statement's subject has no predicate around it
         frames: list[tuple[object, object, Token]] = []
-        tok = self.tok
-        kind, value, _ = tok
-        if kind == "lbracket":
-            subject: object = _Pending(self._fresh_bnode())
-            next = self._next  # _fresh_bnode may have moved the stream to a buffer
-            open_tok, tok = tok, next()
-            if tok[0] == "rbracket":
-                tok = next()
-                if tok[0] == "dot":
-                    return self._end_statement(tok)
-            else:
-                frames.append((None, None, open_tok))
-        elif kind in _SUBJECT_KINDS:
-            next = self._next
-            subject = memo[kind].get(value)
-            if subject is None:
-                subject = build(memo[kind], value, tok)
-            tok = next()
-        else:
-            raise self._error("subject expected (IRI or blank node)", tok)
-
-        state = _VERB
+        subject: object = None
+        predicate: object = None
+        next, tok, state = self._next, self.tok, _SUBJECT
         while True:
             kind, value, _ = tok
-            if state == _VERB:
-                if kind not in _VERB_KINDS:
-                    raise self._error("predicate expected (IRI or 'a')", tok)
-                predicate = memo[kind].get(value)
-                if predicate is None:
-                    predicate = build(memo[kind], value, tok)
-                tok = next()
-                state = _OBJECT
-                continue
-            if state == _OBJECT:
-                if kind == "lbracket":
-                    obj = _Pending(self._fresh_bnode())
-                    next = self._next
-                    open_tok, tok = tok, next()
-                    if tok[0] != "rbracket":
-                        frames.append((subject, predicate, open_tok))
-                        subject = obj
-                        state = _VERB
-                        continue
-                    tok = next()
-                elif kind == "string":
-                    after = next()
-                    after_kind = after[0]
-                    if after_kind == "langtag":
-                        key = (value, after[1])
-                        obj = memo["langtag"].get(key)
-                        if obj is None:
-                            obj = build(memo["langtag"], key, tok, after)
-                        tok = next()
-                    elif after_kind == "dt":
-                        dt = next()
-                        key = (value, dt[0], dt[1])
-                        obj = memo["dt"].get(key)
-                        if obj is None:
-                            obj = build(memo["dt"], key, tok, after, dt)
-                        tok = next()
-                    else:
-                        obj = memo["string"].get(value)
-                        if obj is None:
-                            obj = build(memo["string"], value, tok)
-                        tok = after
-                elif kind in _OBJECT_KINDS:
-                    obj = memo[kind].get(value)
-                    if obj is None:
-                        obj = build(memo[kind], value, tok)
-                    tok = next()
-                else:
-                    raise self._error("object expected", tok)
-            else:  # after an object
+            if state == _NEXT:
                 if kind == "comma":
-                    tok = next()
-                    state = _OBJECT
+                    tok, state = next(), _OBJECT
                     continue
                 if kind == "semi":
                     tok = next()
@@ -252,7 +175,7 @@ class _Parser(TokenParser):
                     if tok[0] not in _LIST_ENDS:
                         state = _VERB
                         continue
-                # the predicate-object list ends at tok
+                # the predicate-object list ends at tok: close the '[' around it
                 if not frames:
                     return self._end_statement(tok)
                 outer_subject, outer_predicate, open_tok = frames.pop()
@@ -260,12 +183,41 @@ class _Parser(TokenParser):
                     raise self._error("']' expected to close blank node property list",
                                       open_tok, self._source(tok))
                 tok = next()
-                if outer_predicate is None:
+                if outer_predicate is None:  # the list is the statement's subject
                     if tok[0] == "dot":
                         return self._end_statement(tok)
                     state = _VERB
                     continue
                 obj, subject, predicate = subject, outer_subject, outer_predicate
+            else:
+                tail, after = (), None  # a string's @lang or ^^datatype tokens; the token after it, once read
+                if kind not in _TERM_KINDS[state]:
+                    if kind == "lbracket" and state != _VERB:
+                        frames.append((subject, predicate, tok))
+                        subject = _Pending(self._fresh_bnode())
+                        next = self._next  # _fresh_bnode may have moved the stream to a buffer
+                        tok = next()
+                        state = _NEXT if tok[0] == "rbracket" else _VERB  # '[]' goes straight to the closer
+                        continue
+                    if kind != "string" or state != _OBJECT:
+                        raise self._error(_TERM_ERRORS[state], tok)
+                    after = next()  # the string's @lang or ^^datatype goes into the memo kind and key
+                    if after[0] == "langtag":
+                        kind, value, tail, after = "langtag", (value, after[1]), (after,), None
+                    elif after[0] == "dt":
+                        dt = next()
+                        kind, value, tail, after = "dt", (value, dt[0], dt[1]), (after, dt), None
+                term = memo[kind].get(value)
+                if term is None:
+                    term = build(memo[kind], value, tok, *tail)
+                tok = next() if after is None else after
+                if state == _VERB:
+                    predicate, state = term, _OBJECT
+                    continue
+                if state == _SUBJECT:
+                    subject, state = term, _VERB
+                    continue
+                obj = term
             if type(subject) is not int:
                 subject = intern(subject)
             if type(predicate) is not int:

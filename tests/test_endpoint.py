@@ -402,7 +402,8 @@ def test_transfer_encoding_on_get_gets_411_and_close(server):
     (b"GET", 400),  # a request line with no target
     (b"GET /" + b"x" * 70_000 + b" HTTP/1.1", 414),
     (b"GET / HTTP/3.0", 505),
-], ids=["no-target", "overlong-line", "http-3"])
+    (b"\r\nGET /" + b"x" * 70_000 + b" HTTP/1.1", 414),  # the line after one empty line
+], ids=["no-target", "overlong-line", "http-3", "empty-then-overlong-line"])
 def test_stdlib_refusals_have_a_status_line_and_plain_text(server, line, status):
     # the stdlib refuses these before parse_request sets the version, and
     # writes no status line for the HTTP/0.9 it leaves there
@@ -415,6 +416,32 @@ def test_stdlib_refusals_have_a_status_line_and_plain_text(server, line, status)
     assert b"Connection: close" in head
     assert body and b"<" not in body
     assert request(server, "GET", "/health")[0] == 200
+
+
+def test_one_empty_line_before_a_request_line_is_ignored(server):
+    # RFC 9112, section 2.2
+    with socket.create_connection(server, timeout=10) as sock:
+        sock.sendall(b"\r\nGET /health HTTP/1.1\r\nHost: test\r\nConnection: close\r\n\r\n")
+        reply = read_until_close(sock)
+    assert reply.startswith(b"HTTP/1.1 200 ") and reply.endswith(b"\r\n\r\nok")
+
+
+def test_an_empty_line_between_pipelined_requests_is_ignored(server, caplog):
+    caplog.set_level(logging.INFO, logger="plantkb.endpoint")
+    get = b"GET /health HTTP/1.1\r\nHost: test\r\n\r\n"
+    with socket.create_connection(server, timeout=10) as sock:
+        sock.sendall(get + b"\r\n" + get + b"\n" + b"GET /" + b"x" * 70_000 + b" HTTP/1.1\r\n\r\n")
+        reply = read_until_close(sock)
+    assert reply.count(b"HTTP/1.1 200 ") == 2
+    assert reply.count(b"HTTP/1.1 414 ") == 1
+    # the 414 is not logged under the method and path of the request before it
+    deadline = time.monotonic() + 1.0
+    while time.monotonic() < deadline:
+        refused = [r.args[:3] for r in caplog.records if r.name == "plantkb.endpoint" and r.args[2] == 414]
+        if refused:
+            break
+        time.sleep(0.01)
+    assert refused == [("-", "-", 414)]
 
 
 def test_each_request_logs_one_line(server, caplog):

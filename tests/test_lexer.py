@@ -73,6 +73,14 @@ TURTLE = [
     ('<http://e/s> <http://e/p> <http://e/a`b> .', (None, None)),
     ('<http://e/s> <http://e/p> <http://e/a\x01b> .', (None, None)),
     ('@prefix ex: <http://e/{x}/> .', (None, None)),
+    ('<http://e/s> "p" <http://e/o> .', ('ParseError', 'line 1, column 14: predicate expected (IRI or \'a\') (near \'"p"\')')),
+    ('<http://e/s> [ <http://e/p> <http://e/o> ] .', ('ParseError', "line 1, column 14: predicate expected (IRI or 'a') (near '[')")),
+    ('<http://e/s> .', ('ParseError', "line 1, column 14: predicate expected (IRI or 'a') (near '.')")),
+    ('<http://e/s> <http://e/p> [ <http://e/q> <http://e/o> .', ('ParseError', "line 1, column 27: ']' expected to close blank node property list (near '.')")),
+    ('<http://e/s> <http://e/p> <http://e/o> ] .', ('ParseError', "line 1, column 40: expected '.' at end of statement (near ']')")),
+    ('[ <http://e/p> <http://e/o> ]', ('ParseError', "line 1, column 30: predicate expected (IRI or 'a')")),
+    ('[ <http://e/p> <http://e/o> ] <http://e/q> .', ('ParseError', "line 1, column 44: object expected (near '.')")),
+    ('"x" <http://e/p> <http://e/o> .', ('ParseError', 'line 1, column 1: subject expected (IRI or blank node) (near \'"x"\')')),
 ]
 
 SPARQL = [
@@ -132,6 +140,8 @@ SPARQL = [
     ('SELECT ?x\nWHERE { ?x ?p ?o }\nORDER BY DESC(?y)', ('ParseError', "line 1, column 1: ORDER BY variable ?y does not appear in any pattern (near '?y')")),
     ('SELECT ?x WHERE { ?x ?p ?o } LIMIT 5 LIMIT 3', (None, None)),
     ('SELECT ?x WHERE { ?x ?p ?o } OFFSET 1 OFFSET 2', (None, None)),
+    ('SELECT ?s WHERE { ?s ?p ?o FILTER(?o<5) }', (None, None)),
+    ('PREFIX ex: <http://e/> SELECT ?s WHERE { ?s ?p ?o FILTER(?o<ex:b) }', (None, None)),
 ]
 
 CHANGED = {
@@ -166,8 +176,6 @@ CHANGED = {
     'PREFIX -x: <http://e/> SELECT ?x WHERE { ?x -x:p ?o }': ('ParseError', "line 1, column 8: malformed prefix label '-x' (near '-x')"),
     # IRIREF excludes #x00-#x20, '{', '}', '|', '^' and the backtick (W3C RDF 1.1
     # Turtle, production [18] IRIREF; SPARQL 1.1 Query, production [139] IRIREF).
-    # SPARQL then reads the '<' as its less-than operator, as for any other
-    # malformed IRI.
     '<http://e/a{b> <http://e/p> <http://e/o> .': ('ParseError', "line 1, column 12: invalid character '{' in IRI reference (near '{')"),
     '<http://e/s> <http://e/p> <http://e/a}b> .': ('ParseError', "line 1, column 38: invalid character '}' in IRI reference (near '}')"),
     '<http://e/s> <http://e/a|b> <http://e/o> .': ('ParseError', "line 1, column 25: invalid character '|' in IRI reference (near '|')"),
@@ -175,7 +183,11 @@ CHANGED = {
     '<http://e/s> <http://e/p> <http://e/a`b> .': ('ParseError', "line 1, column 38: invalid character '`' in IRI reference (near '`')"),
     '<http://e/s> <http://e/p> <http://e/a\x01b> .': ('ParseError', "line 1, column 38: invalid character '\\x01' in IRI reference (near '\\x01')"),
     '@prefix ex: <http://e/{x}/> .': ('ParseError', "line 1, column 23: invalid character '{' in IRI reference (near '{')"),
-    'SELECT ?x WHERE { ?x ?p <http://e/a{b> }': ('ParseError', "line 1, column 31: unexpected character '/' (near '/')"),
+    # SPARQL names the excluded character too: a '<' that '<...>' without
+    # spaces follows opens an IRI reference, not the less-than operator (it
+    # was reported as a stray '/').  A '<' with no such '>' after it is still
+    # the operator, so '?o<5' parses and an unterminated IRI keeps its message.
+    'SELECT ?x WHERE { ?x ?p <http://e/a{b> }': ('ParseError', "line 1, column 36: invalid character '{' in IRI reference (near '{')"),
     # A selected or ORDER BY variable that no pattern binds is reported at its
     # own token; it used to be reported at line 1, column 1.
     'SELECT ?ghost WHERE { ?s ?p ?o }': ('ParseError', "line 1, column 8: selected variable ?ghost does not appear in any pattern (near '?ghost')"),
@@ -219,7 +231,7 @@ _SHARED_PIECES = [
     " ", "\n", "#", ".", ":", ";", ",", "<", ">", '"', "'", "\\", "@", "^^", "_:", "-", "+", "?",
     "0", "7", "e", "x", "ex:", "<http://e/", "\\u00", "\\U", "20", "FF", "é", "true",
 ]
-_TURTLE_PIECES = _SHARED_PIECES + ["[", "]", "(", "a", "@prefix", "PREFIX", "<http://e/o>"]
+_TURTLE_PIECES = _SHARED_PIECES + ["[", "]", "[]", ";;", "(", "a", "@prefix", "@base", "PREFIX", "BASE", "<http://e/o>"]
 _SPARQL_PIECES = _SHARED_PIECES + ["$", "{", "}", "(", ")", "*", "!", "=", "FILTER", "LIMIT", "regex"]
 
 

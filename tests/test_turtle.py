@@ -16,6 +16,7 @@ from plantkb.errors import (
 from plantkb.graph import Graph, PrefixMap
 from plantkb.terms import (
     RDF_LANG_STRING,
+    RDF_TYPE,
     XSD_BOOLEAN,
     XSD_DECIMAL,
     XSD_INTEGER,
@@ -181,14 +182,20 @@ def test_anonymous_blank_nodes_skip_labels_used_later_in_the_document():
 
 def test_deeply_nested_blank_node_property_lists_parse():
     # the statement parser keeps its own stack of open '[', so nesting depth
-    # is not bounded by the recursion limit
+    # is not bounded by the recursion limit, in object or subject position
     depth = 5000
-    doc = ("@prefix ex: <http://example.test/t#> .\nex:s ex:p "
-           + "[ ex:p " * depth + "ex:o" + " ]" * depth + " .")
-    g = parse_turtle(doc).graph
+    nested = "[ ex:p " * depth + "ex:o" + " ]" * depth
+    head = "@prefix ex: <http://example.test/t#> .\n"
+    g = parse_turtle(head + "ex:s ex:p " + nested + " .").graph
     assert len(g) == depth + 1
     assert Triple(Iri(EX + "s"), Iri(EX + "p"), BlankNode("b1")) in g
     assert Triple(BlankNode(f"b{depth}"), Iri(EX + "p"), Iri(EX + "o")) in g
+    for tail, extra in (("", []), (" ex:q ex:r", [Triple(BlankNode("b1"), Iri(EX + "q"), Iri(EX + "r"))])):
+        g = parse_turtle(head + nested + tail + " .").graph
+        assert len(g) == depth + len(extra)
+        assert Triple(BlankNode("b1"), Iri(EX + "p"), BlankNode("b2")) in g
+        assert Triple(BlankNode(f"b{depth}"), Iri(EX + "p"), Iri(EX + "o")) in g
+        assert all(t in g for t in extra)
 
 
 def test_comments_and_blank_lines_ignored():
@@ -474,6 +481,76 @@ def test_random_documents_keep_their_term_ids():
     for text in random_documents():
         h.update(parse_digest(text).encode())
     assert h.hexdigest() == RANDOM_DOCUMENTS_DIGEST
+
+
+# the per-document digests of list_documents(), hashed in order
+LIST_DOCUMENTS_DIGEST = "1aa36386427f81d40b63236f8a1f9c08054c43b91cf1f099ab02b4e7e8153262"
+
+_LIST_TERMS = [
+    ("ex:o", Iri(EX + "o")), ("ex:s", Iri(EX + "s")), ("<http://example.test/t#o>", Iri(EX + "o")),
+    ("_:n1", BlankNode("n1")), ('"v"', Literal("v")), ('"v"@en', Literal("v", RDF_LANG_STRING, "en")),
+    ("7", Literal("7", XSD_INTEGER)), ('"7"^^xsd:integer', Literal("7", XSD_INTEGER)),
+]
+_LIST_VERBS = [("ex:p", Iri(EX + "p")), ("ex:q", Iri(EX + "q")), ("a", RDF_TYPE)]
+
+
+def list_document(rng: random.Random) -> tuple[str, set[Triple]]:
+    """A seeded document of nested ``[ ... ]`` lists, in subject and object
+    position, with the triples it states, worked out while it is written.
+
+    The anonymous nodes are b1, b2, ... in the order their '[' is written;
+    no document uses a ``_:b`` label, so those are the labels the reader
+    gives them."""
+    triples: set[Triple] = set()
+    count = 0
+
+    def anon(depth: int, empty: bool) -> tuple[str, BlankNode]:
+        nonlocal count
+        count += 1
+        node = BlankNode(f"b{count}")
+        if empty:
+            return "[]", node
+        return f"[ {predicate_objects(node, depth + 1)} ]", node
+
+    def predicate_objects(subject, depth: int) -> str:
+        parts = []
+        for _ in range(rng.randint(1, 3)):
+            verb, predicate = rng.choice(_LIST_VERBS)
+            objs = []
+            for _ in range(rng.randint(1, 3)):
+                r = rng.random()
+                text, obj = anon(depth, r < 0.1) if depth < 3 and r < 0.4 else rng.choice(_LIST_TERMS)
+                triples.add(Triple(subject, predicate, obj))
+                objs.append(text)
+            parts.append(f"{verb} {' , '.join(objs)}")
+        return " ; ".join(parts) + rng.choice(["", "", " ;", " ;;"])
+
+    statements = ["@prefix ex: <http://example.test/t#> .",
+                  "@prefix xsd: <http://www.w3.org/2001/XMLSchema#> ."]
+    for _ in range(rng.randint(1, 6)):
+        r = rng.random()
+        if r < 0.3:
+            subject_text, subject = rng.choice(_LIST_TERMS[:4])
+        else:
+            subject_text, subject = anon(0, r < 0.4)
+        if r >= 0.8:  # a list that is the whole statement
+            statements.append(f"{subject_text} .")
+        else:
+            statements.append(f"{subject_text} {predicate_objects(subject, 0)} .")
+    return "\n".join(statements), triples
+
+
+def list_documents():
+    rng = random.Random(4242)
+    return [list_document(rng) for _ in range(300)]
+
+
+def test_blank_node_property_lists_state_the_expected_triples():
+    h = hashlib.sha256()
+    for text, triples in list_documents():
+        assert set(parse_turtle(text).graph.triples()) == triples, text
+        h.update(parse_digest(text).encode())
+    assert h.hexdigest() == LIST_DOCUMENTS_DIGEST
 
 
 def test_parse_interns_each_distinct_term_once_and_never_inserts(monkeypatch):
