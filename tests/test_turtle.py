@@ -391,7 +391,6 @@ ex:s ex:p [ ex:q [ ex:r ex:o ; ex:t "x" ] , ex:o2 ] ; ex:u ex:s .
 [ ex:a ex:b ; ex:c [ ex:d ex:e ] ] ex:f ex:g , [ ] .
 [ ex:h ex:i ] .
 [] ex:j ex:k .
-[] .
 _:b1 ex:p [ ex:q _:b2 ] .
 ex:n1 ex:p [ ex:p ex:n1 ; ex:z [ ex:y ex:n1 ] ] .
 ex:aa ex:aa ex:aa .
@@ -431,7 +430,7 @@ ex:t ex:q "5"@en , 5 , "5" .
 HAND_WRITTEN_DIGESTS = {
     "base changed": "d080ae83554f9b84cb188cfb4ea7ba8f4d2563a179a5bc1d4562454b0671cb65",
     "literals": "b9f46c5a326d318147617040aa24c46c970e37c648549545b759a4681ab0ca2f",
-    "nested lists": "7afe873e6ad2e0e058bd9ec9dd4b5ab8277e5894f00f4adf2351c8376b2ff319",
+    "nested lists": "2099450daf83a9377a20fa0d304848e7efc294070f121667e02e57b4cac2de56",
     "one IRI three ways": "c9b1f52484cea38eeb598c2b86fcc3128f3bb06d96b1abc9dd75d43e114793bc",
     "prefix rebound": "5e65c06f02e956e47c78ef9e18ac68788c2dfc71951d6104ef9779ddcfc05533",
 }
