@@ -17,10 +17,12 @@ import time
 from http.server import BaseHTTPRequestHandler
 from urllib.parse import parse_qs, urlsplit
 
+# read at each request, so a wrapper put on plantkb.sparql's functions at any
+# time (perfbench/spans.py) is the one called
+from . import sparql
 from .endpoint import LINGER_S, MAX_BODY_BYTES, REQUEST_TIMEOUT_S, log
 from .errors import ParseError, UnknownPrefixError
 from .graph import Graph
-from .sparql import evaluate, parse_query, serialize_results
 
 
 def _prefers_csv(accept: str | None) -> bool:
@@ -147,15 +149,15 @@ class _Handler(BaseHTTPRequestHandler):
             self._finish(400, missing)
             return
         try:
-            results = evaluate(parse_query(values[0]), self.dataset)
+            results = sparql.evaluate(sparql.parse_query(values[0]), self.dataset)
         except (ParseError, UnknownPrefixError) as exc:
             self._finish(400, str(exc).encode("utf-8"))
             return
         if _prefers_csv(self.headers.get("Accept")):
-            body = serialize_results(results, "csv").encode("utf-8")
+            body = sparql.serialize_results(results, "csv").encode("utf-8")
             self._finish(200, body, "text/csv; charset=utf-8")
         else:
-            body = serialize_results(results, "sparql-json").encode("utf-8")
+            body = sparql.serialize_results(results, "sparql-json").encode("utf-8")
             self._finish(200, body, "application/sparql-results+json")
 
     def do_GET(self) -> None:

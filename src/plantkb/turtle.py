@@ -190,12 +190,7 @@ class _Parser(TokenParser):
                     continue
                 obj, subject, predicate = subject, outer_subject, outer_predicate
             else:
-                if kind in _TERM_KINDS[state]:
-                    term = memo[kind].get(value)
-                    if term is None:
-                        term = build(memo[kind], value, tok)
-                    tok = next()
-                elif kind == "lbracket" and state != _VERB:
+                if kind == "lbracket" and state != _VERB:
                     term = _Pending(self._fresh_bnode())
                     next = self._next  # _fresh_bnode may have moved the stream to a buffer
                     open_tok, tok = tok, next()
@@ -204,19 +199,21 @@ class _Parser(TokenParser):
                         subject, state = term, _VERB
                         continue
                     tok = next()  # '[]' is one term, a node with no triples of its own
-                elif kind == "string" and state == _OBJECT:
-                    tail, after = (), next()  # the @lang or ^^datatype goes into the memo kind and key
-                    if after[0] == "langtag":
-                        kind, value, tail, after = "langtag", (value, after[1]), (after,), None
-                    elif after[0] == "dt":
-                        dt = next()
-                        kind, value, tail, after = "dt", (value, dt[0], dt[1]), (after, dt), None
+                else:
+                    tail, after = (), None  # a string's @lang or ^^datatype tokens; the token after it, once read
+                    if kind not in _TERM_KINDS[state]:
+                        if kind != "string" or state != _OBJECT:
+                            raise self._error(_TERM_ERRORS[state], tok)
+                        after = next()  # the string's @lang or ^^datatype goes into the memo kind and key
+                        if after[0] == "langtag":
+                            kind, value, tail, after = "langtag", (value, after[1]), (after,), None
+                        elif after[0] == "dt":
+                            dt = next()
+                            kind, value, tail, after = "dt", (value, dt[0], dt[1]), (after, dt), None
                     term = memo[kind].get(value)
                     if term is None:
                         term = build(memo[kind], value, tok, *tail)
                     tok = next() if after is None else after
-                else:
-                    raise self._error(_TERM_ERRORS[state], tok)
                 if state == _VERB:
                     predicate, state = term, _OBJECT
                     continue

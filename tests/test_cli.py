@@ -273,17 +273,26 @@ def test_serve_runs_with_the_collector_as_the_caller_left_it(enabled, collector,
     assert gc.isenabled() is enabled
 
 
-def test_validate_leaves_no_more_cyclic_garbage_on_a_larger_input(tmp_path, collector, capsys):
+@pytest.mark.parametrize("args, codes", [
+    (["validate"], (0, 1)),  # the ten copies share labels (CN002)
+    (["infer", "--out", "OUT"], (0, 0)),
+    (["query", "--query", SUBCLASS_QUERY], (0, 0)),
+    (["export", "--mode", "classes"], (0, 0)),
+])
+def test_one_shot_command_leaves_no_more_cyclic_garbage_on_a_larger_input(
+        args, codes, tmp_path, collector, capsys):
     # one-shot commands run without the collector, so what they leave in
     # cycles must not grow with the input
     text = (FIXTURE_DIR / "arabidopsis.ttl").read_text()
     larger = tmp_path / "tenfold.ttl"
     larger.write_text("".join(text.replace("arabidopsis#", f"arabidopsis{i}#") for i in range(10)))
+    argv = [str(tmp_path / "out.ttl") if a == "OUT" else a for a in args]
     collector(False)
     left = []
-    for path, code in ((CLEAN, 0), (str(larger), 1)):  # the ten copies share labels (CN002)
+    for path, code in zip((CLEAN, str(larger)), codes):
         gc.collect()
-        assert main(["validate", path]) == code
+        assert main([argv[0], path, *argv[1:]]) == code
+        capsys.readouterr()
         left.append(gc.collect())
     assert left[1] <= left[0] + 20, left
 

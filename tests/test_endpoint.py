@@ -102,6 +102,39 @@ def test_handler_name_is_the_base_of_the_served_handler():
         server.server_close()
 
 
+TRACED_REQUEST = """
+import sys, threading, urllib.request
+from urllib.parse import quote
+sys.path[:0] = sys.argv[1:3]
+import spans
+recorder = spans.Recorder()
+spans.install(recorder)
+from plantkb.endpoint import DatasetConfig, make_server
+server = make_server(DatasetConfig(source_path=sys.argv[3], bind_address="127.0.0.1:0"))
+threading.Thread(target=server.serve_forever, daemon=True).start()
+url = f"http://127.0.0.1:{server.server_address[1]}/sparql?query={quote(sys.argv[4])}"
+with urllib.request.urlopen(url, timeout=30) as response:
+    response.read()
+server.shutdown()
+server.server_close()
+names = {sid: name for sid, parent, name, start, end, rid in recorder.spans}
+print(*sorted({(names.get(parent, "-"), name) for sid, parent, name, start, end, rid in recorder.spans}), sep="\\n")
+"""
+
+
+def test_traced_server_records_its_query_calls_inside_the_request():
+    # perfbench/spans.py wraps plantkb.sparql's functions before the handler's
+    # module is first imported; the handler must still call the wrapped ones
+    repo = Path(__file__).resolve().parent.parent
+    src = str(Path(plantkb.__file__).resolve().parent.parent)
+    done = subprocess.run([sys.executable, "-c", TRACED_REQUEST, str(repo / "perfbench"), src, CLEAN,
+                           SUBCLASS_QUERY], capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    edges = set(done.stdout.splitlines())
+    for name in ("sparql.parse_query", "sparql.evaluate", "sparql.serialize_results"):
+        assert str(("endpoint.do_GET", name)) in edges, done.stdout
+
+
 # -- live server -----------------------------------------------------------------
 
 
