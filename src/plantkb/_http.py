@@ -1,8 +1,8 @@
 """The endpoint's request handler, in a module of its own so that only a
 server loads the HTTP stack.
 
-Importing this module imports ``http.server`` and ``socket``, and with them
-``socketserver``, ``http.client``, ``email`` and ``ssl``.
+Importing this module imports ``http.server``, ``socket`` and ``logging``,
+and with them ``socketserver``, ``http.client``, ``email`` and ``ssl``.
 :func:`plantkb.endpoint.make_server` imports it, and so does the first read of
 ``plantkb.endpoint._Handler``, which names the same class.
 :mod:`plantkb.endpoint` describes the routes and the rules every response
@@ -12,6 +12,7 @@ follows.
 from __future__ import annotations
 
 import json
+import logging
 import socket
 import time
 from http.server import BaseHTTPRequestHandler
@@ -20,9 +21,11 @@ from urllib.parse import parse_qs, urlsplit
 # read at each request, so a wrapper put on plantkb.sparql's functions at any
 # time (perfbench/spans.py) is the one called
 from . import sparql
-from .endpoint import LINGER_S, MAX_BODY_BYTES, REQUEST_TIMEOUT_S, log
+from .endpoint import LINGER_S, MAX_BODY_BYTES, REQUEST_TIMEOUT_S
 from .errors import ParseError, UnknownPrefixError
 from .graph import Graph
+
+log = logging.getLogger("plantkb.endpoint")
 
 
 def _prefers_csv(accept: str | None) -> bool:

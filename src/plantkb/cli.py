@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import logging
 import re
 import sys
 
@@ -118,6 +117,8 @@ def _render_table(results) -> str:
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
+    import logging
+
     logging.basicConfig(level=logging.INFO, format="%(asctime)s %(message)s")
     try:
         host, port = resolve_bind(args.bind)

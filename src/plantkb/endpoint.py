@@ -32,20 +32,20 @@ A HEAD request gets headers only.  Each response logs one INFO line: method,
 path (both "-" when the request line could not be read), status, and ms from
 reading the request line to writing the body.
 
-This module imports no HTTP module, so the commands that import it for its
-configuration do not load the HTTP stack.  The request handler lives in
-:mod:`plantkb._http`, which imports ``http.server`` and ``socket``;
+This module imports no HTTP module and not ``logging``, so the commands that
+import it for its configuration load neither.  The request handler and the
+``plantkb.endpoint`` logger live in :mod:`plantkb._http`, which imports
+``http.server``, ``socket`` and ``logging``;
 :func:`make_server` imports it, and ``plantkb.endpoint._Handler`` names the
 same class, loaded on first use.
 """
 
 from __future__ import annotations
 
-import logging
 import os
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from ._record import Record
 from .graph import Graph
 from .ontology import extract_ontology
 from .reasoner import materialize
@@ -63,14 +63,12 @@ LINGER_S = 2.0
 # how long a handler waits on a silent client (request line, headers or body)
 REQUEST_TIMEOUT_S = 30.0
 
-log = logging.getLogger("plantkb.endpoint")
 
+class DatasetConfig(Record):
+    __slots__ = __match_args__ = ("source_path", "materialize_on_load", "bind_address")
 
-@dataclass(slots=True)
-class DatasetConfig:
-    source_path: str
-    materialize_on_load: bool = False
-    bind_address: str = DEFAULT_BIND
+    def __init__(self, source_path: str, materialize_on_load: bool = False, bind_address: str = DEFAULT_BIND):
+        super().__init__(source_path, materialize_on_load, bind_address)
 
 
 def resolve_bind(flag: str | None = None) -> tuple[str, int]:
@@ -119,6 +117,8 @@ def make_server(cfg: DatasetConfig) -> ThreadingHTTPServer:
 
 def serve(cfg: DatasetConfig) -> None:
     """Run the service until interrupted."""
+    from ._http import log
+
     server = make_server(cfg)
     host, port = server.server_address[:2]
     log.info("serving %s on %s:%d", cfg.source_path, host, port)

@@ -8,9 +8,8 @@ fixture names to files and expected error codes.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from importlib import resources
 
+from .._record import FrozenRecord
 from ..errors import UnknownFixtureError
 from ..graph import Graph
 from ..turtle import parse_turtle
@@ -18,15 +17,17 @@ from ..turtle import parse_turtle
 __all__ = ["FixtureManifest", "manifest", "fixture_text", "fixture_graph"]
 
 
-@dataclass(frozen=True, slots=True)
-class FixtureManifest:
-    name: str
-    path: str
-    expected_error_codes: frozenset[str]
+class FixtureManifest(FrozenRecord):
+    __slots__ = __match_args__ = ("name", "path", "expected_error_codes")
+
+    def __init__(self, name: str, path: str, expected_error_codes: frozenset[str]):
+        super().__init__(name, path, expected_error_codes)
 
 
 def manifest() -> list[FixtureManifest]:
     """All bundled fixtures, clean first, in manifest order."""
+    from importlib import resources  # loaded here: it imports pathlib, zipfile, tempfile and shutil
+
     raw = resources.files(__package__).joinpath("manifest.json").read_text(encoding="utf-8")
     return [
         FixtureManifest(
@@ -47,6 +48,8 @@ def _entry(name: str) -> FixtureManifest:
 
 def fixture_text(name: str) -> str:
     """Raw Turtle text of a bundled fixture."""
+    from importlib import resources
+
     entry = _entry(name)
     return resources.files(__package__).joinpath(entry.path).read_text(encoding="utf-8")
 

@@ -37,10 +37,10 @@ import re
 import threading
 from bisect import bisect_left
 from collections.abc import Iterable
-from dataclasses import dataclass
 from itertools import repeat
 from operator import itemgetter
 
+from ._record import Record
 from .errors import FrozenGraphError, MalformedTripleError, UnknownPrefixError
 from .terms import BlankNode, Iri, Literal, Term, Triple, TriplePattern, Var
 
@@ -113,12 +113,13 @@ def expand_qname(pm: PrefixMap, qname: str) -> Iri:
     return pm.expand(qname)
 
 
-@dataclass(slots=True)
-class MatchStats:
+class MatchStats(Record):
     """Instrumentation for one match call: which view, how many entries touched."""
 
-    index_used: str
-    entries_visited: int = 0
+    __slots__ = __match_args__ = ("index_used", "entries_visited")
+
+    def __init__(self, index_used: str, entries_visited: int = 0):
+        super().__init__(index_used, entries_visited)
 
 
 def _probes(n: int, found: int) -> int:

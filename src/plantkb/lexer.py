@@ -39,9 +39,9 @@ from __future__ import annotations
 import re
 from collections import deque
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass, field
 from typing import TypeVar
 
+from ._record import Record
 from .errors import ParseError, PlantKbError, RelativeIriError, UnknownPrefixError, UnsupportedConstructError
 from .graph import PrefixMap
 from .terms import RDF_LANG_STRING, XSD_BOOLEAN, XSD_DECIMAL, XSD_INTEGER, XSD_STRING, Iri, Literal
@@ -141,30 +141,36 @@ def _unquote(text: str, start: int, end: int) -> str:
     return _ESCAPE.sub(_unescape, body)
 
 
-@dataclass
-class Lexer:
+class Lexer(Record):
     """A scanner for one grammar: the shared token classes plus its own table."""
 
-    punctuation: dict[str, str]  # token text -> kind
-    keywords: dict[str, str] = field(default_factory=dict)  # upper-cased word -> kind
-    unsupported: dict[str, str] = field(default_factory=dict)  # mark or upper-cased word -> construct
-    directives: dict[str, str] = field(default_factory=dict)  # word after '@' -> kind
-    variables: bool = False
-    errors: dict[str, str] = field(default_factory=dict)  # lone character -> message
+    __match_args__ = ("punctuation", "keywords", "unsupported", "directives", "variables", "errors")
+    __slots__ = (*__match_args__, "_match")
 
-    def __post_init__(self):
+    def __init__(self,
+                 punctuation: dict[str, str],  # token text -> kind
+                 keywords: dict[str, str] | None = None,  # upper-cased word -> kind
+                 unsupported: dict[str, str] | None = None,  # mark or upper-cased word -> construct
+                 directives: dict[str, str] | None = None,  # word after '@' -> kind
+                 variables: bool = False,
+                 errors: dict[str, str] | None = None):  # lone character -> message
+        super().__init__(punctuation, keywords or {}, unsupported or {}, directives or {}, variables, errors or {})
+        self._match: Callable[[str, int], re.Match] | None = None
+
+    def _compile(self) -> Callable[[str, int], re.Match]:
+        """The master regex's ``match``, compiled at the first scan; a race only builds it twice."""
         marks = [*self.punctuation, *(k for k in self.unsupported if not k.isalpha())]
         classes = [*_HEAD, *([_VARIABLE] if self.variables else []),
                    ("punct", "|".join(re.escape(m) for m in sorted(marks, key=len, reverse=True))),
                    *_TAIL]
         self._match = re.compile(_SKIP + "(?:" + "|".join(f"(?P<{n}>{rx})" for n, rx in classes) + ")").match
-        self._tag_error = "malformed language tag or directive" if self.directives else "malformed language tag"
+        return self._match
 
     def scan(self, text: str) -> Iterator[Token]:
         """The tokens of ``text``, one per match, scanned as the parser asks
         for them and ending with an ``eof`` token; raises ParseError at the
         first malformed token."""
-        match, punctuation = self._match, self.punctuation
+        match, punctuation = self._match or self._compile(), self.punctuation
         pos = 0
         while True:
             m = match(text, pos)
@@ -187,7 +193,8 @@ class Lexer:
                 elif _LANGTAG.fullmatch(word):
                     yield "langtag", word, start
                 else:
-                    raise _error(f"{self._tag_error} {source}", text, start, source)
+                    what = "language tag or directive" if self.directives else "language tag"
+                    raise _error(f"malformed {what} {source}", text, start, source)
             elif group == "number":
                 if text.startswith(("e", "E"), pos):
                     raise UnsupportedConstructError("numeric literal with exponent",
@@ -237,7 +244,7 @@ class Lexer:
         kind, value, start = tok
         if kind == "var":
             return f"?{value}"  # written with '?' even when spelled '$name'
-        return text[start:self._match(text, start).end()]
+        return text[start:(self._match or self._compile())(text, start).end()]
 
 
 def _remove_dot_segments(path: str) -> str:

@@ -24,9 +24,9 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from enum import Enum
 
+from ._record import FrozenRecord, Record
 from .graph import Graph
 from .ontology import _best_label, _objects_by_subject, extract_ontology
 from .reasoner import InconsistencyKind, _asserted_subclass_edges, check_consistency
@@ -57,19 +57,19 @@ class Severity(Enum):
     WARNING = "warning"
 
 
-@dataclass(frozen=True, slots=True)
-class Diagnostic:
-    code: str
-    severity: Severity
-    subject: Iri
-    message: str
+class Diagnostic(FrozenRecord):
+    __slots__ = __match_args__ = ("code", "severity", "subject", "message")
+
+    def __init__(self, code: str, severity: Severity, subject: Iri, message: str):
+        super().__init__(code, severity, subject, message)
 
 
-@dataclass(slots=True)
-class CheckConfig:
-    enabled_codes: frozenset[str] = ALL_CODES
-    class_name_pattern: str = DEFAULT_CLASS_PATTERN
-    property_name_pattern: str = DEFAULT_PROPERTY_PATTERN
+class CheckConfig(Record):
+    __slots__ = __match_args__ = ("enabled_codes", "class_name_pattern", "property_name_pattern")
+
+    def __init__(self, enabled_codes: frozenset[str] = ALL_CODES, class_name_pattern: str = DEFAULT_CLASS_PATTERN,
+                 property_name_pattern: str = DEFAULT_PROPERTY_PATTERN):
+        super().__init__(enabled_codes, class_name_pattern, property_name_pattern)
 
 
 def _is_datatype_iri(iri: Iri) -> bool:

@@ -14,10 +14,10 @@ Also renders the hierarchy and the property graph as GraphViz DOT text.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, NamedTuple
 
+from ._record import FrozenRecord
 from .errors import SubclassCycleError
 from .graph import Graph
 from .reasoner import subclass_cycles
@@ -47,27 +47,27 @@ class PropertyKind(Enum):
     DATATYPE = "datatype-property"
 
 
-@dataclass(frozen=True, slots=True)
-class OntologyClass:
-    iri: Iri
-    label: str | None
-    direct_supers: frozenset[Iri]
+class OntologyClass(FrozenRecord):
+    __slots__ = __match_args__ = ("iri", "label", "direct_supers")
+
+    def __init__(self, iri: Iri, label: str | None, direct_supers: frozenset[Iri]):
+        super().__init__(iri, label, direct_supers)
 
 
-@dataclass(frozen=True, slots=True)
-class PropertyDecl:
-    iri: Iri
-    kind: PropertyKind
-    domain: frozenset[Iri]
-    range: frozenset[Iri]
-    characteristics: frozenset[str]  # subset of {"transitive", "symmetric"}
-    inverse_of: Iri | None
+class PropertyDecl(FrozenRecord):
+    __slots__ = __match_args__ = ("iri", "kind", "domain", "range", "characteristics", "inverse_of")
+
+    def __init__(self, iri: Iri, kind: PropertyKind, domain: frozenset[Iri], range: frozenset[Iri],
+                 characteristics: frozenset[str],  # a subset of {"transitive", "symmetric"}
+                 inverse_of: Iri | None):
+        super().__init__(iri, kind, domain, range, characteristics, inverse_of)
 
 
-@dataclass(frozen=True, slots=True)
-class Individual:
-    iri: Iri
-    asserted_types: frozenset[Iri]
+class Individual(FrozenRecord):
+    __slots__ = __match_args__ = ("iri", "asserted_types")
+
+    def __init__(self, iri: Iri, asserted_types: frozenset[Iri]):
+        super().__init__(iri, asserted_types)
 
 
 class OntologyView(NamedTuple):
@@ -157,12 +157,13 @@ def extract_ontology(graph: Graph) -> OntologyView:
     return OntologyView(classes=classes, properties=properties, individuals=individuals)
 
 
-@dataclass(frozen=True)
-class ClassTree:
+class ClassTree(FrozenRecord):
     """owl:Thing-rooted hierarchy; a multi-parent class is listed under each parent."""
 
-    root: Iri
-    children: dict[Iri, tuple[Iri, ...]]
+    __slots__ = __match_args__ = ("root", "children")
+
+    def __init__(self, root: Iri, children: dict[Iri, tuple[Iri, ...]]):
+        super().__init__(root, children)
 
     def children_of(self, iri: Iri) -> tuple[Iri, ...]:
         return self.children.get(iri, ())

@@ -41,10 +41,10 @@ uses it too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Hashable, Iterable, Iterator, Mapping, TypeVar
 
+from ._record import FrozenRecord, Record
 from .graph import Graph
 from .terms import (
     OWL_CLASS,
@@ -81,12 +81,12 @@ class RuleId(Enum):
     THING_MEMBERSHIP = "THING_MEMBERSHIP"
 
 
-@dataclass(slots=True)
-class InferenceResult:
-    added: set[Triple]
-    iterations: int
-    rule_counts: dict[RuleId, int]
-    provenance: dict[Triple, RuleId] = field(default_factory=dict)
+class InferenceResult(Record):
+    __slots__ = __match_args__ = ("added", "iterations", "rule_counts", "provenance")
+
+    def __init__(self, added: set[Triple], iterations: int, rule_counts: dict[RuleId, int],
+                 provenance: dict[Triple, RuleId] | None = None):
+        super().__init__(added, iterations, rule_counts, {} if provenance is None else provenance)
 
 
 class InconsistencyKind(Enum):
@@ -94,11 +94,11 @@ class InconsistencyKind(Enum):
     SUBCLASS_CYCLE = "subclass-cycle"
 
 
-@dataclass(frozen=True, slots=True)
-class Inconsistency:
-    kind: InconsistencyKind
-    members: tuple[Iri, ...]
-    witness: Triple | None = None
+class Inconsistency(FrozenRecord):
+    __slots__ = __match_args__ = ("kind", "members", "witness")
+
+    def __init__(self, kind: InconsistencyKind, members: tuple[Iri, ...], witness: Triple | None = None):
+        super().__init__(kind, members, witness)
 
 
 class _Table:

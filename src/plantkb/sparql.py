@@ -30,11 +30,11 @@ import csv
 import io
 import re
 from collections.abc import Callable
-from dataclasses import dataclass, field
 from decimal import Decimal
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 
+from ._record import Record
 from .graph import Graph, PrefixMap
 from .lexer import Lexer, Token, TokenParser
 from .terms import (
@@ -68,29 +68,32 @@ _LEXER = Lexer(
 _COMPARISON_OPS = {"=", "!=", "<", "<=", ">", ">="}
 
 
-@dataclass(slots=True)
-class FilterExpr:
-    op: str  # one of =, !=, <, <=, >, >= or "regex"
-    left: str  # variable name
-    right: Term | str  # constant term, or the pattern text for regex
+class FilterExpr(Record):
+    __slots__ = __match_args__ = ("op", "left", "right")
+
+    def __init__(self, op: str,  # one of =, !=, <, <=, >, >= or "regex"
+                 left: str,  # variable name
+                 right: Term | str):  # constant term, or the pattern text for regex
+        super().__init__(op, left, right)
 
 
-@dataclass(slots=True)
-class Query:
-    prefixes: PrefixMap
-    select_vars: list[str] | str  # explicit names, or "*"
-    patterns: list[TriplePattern]
-    filters: list[FilterExpr] = field(default_factory=list)
-    distinct: bool = False
-    order_by: tuple[str, str] | None = None  # (variable, "asc"|"desc")
-    limit: int | None = None
-    offset: int | None = None
+class Query(Record):
+    __slots__ = __match_args__ = ("prefixes", "select_vars", "patterns", "filters", "distinct", "order_by",
+                                  "limit", "offset")
+
+    def __init__(self, prefixes: PrefixMap, select_vars: list[str] | str,  # explicit names, or "*"
+                 patterns: list[TriplePattern], filters: list[FilterExpr] | None = None, distinct: bool = False,
+                 order_by: tuple[str, str] | None = None,  # (variable, "asc"|"desc")
+                 limit: int | None = None, offset: int | None = None):
+        super().__init__(prefixes, select_vars, patterns, [] if filters is None else filters, distinct, order_by,
+                         limit, offset)
 
 
-@dataclass(slots=True)
-class ResultSet:
-    vars: list[str]
-    rows: list[dict[str, Term]]
+class ResultSet(Record):
+    __slots__ = __match_args__ = ("vars", "rows")
+
+    def __init__(self, vars: list[str], rows: list[dict[str, Term]]):
+        super().__init__(vars, rows)
 
 
 class _QueryParser(TokenParser):
@@ -327,14 +330,17 @@ def _filter_check(f: FilterExpr, position: int, term: Callable[[int], Term]):
     return check
 
 
-@dataclass(slots=True)
-class _Step:
+class _Step(Record):
     """One pattern of the plan, read once per incoming row."""
 
-    const: list[int | None]  # per position: the constant's id, else None
-    source: list[int]  # per position: the row slot bound earlier, else -1
-    extend: Callable[[tuple], tuple]  # id-triple -> its newly bound ids
-    checks: list[Callable[[tuple], bool]]  # repeated variables, then filters
+    __slots__ = __match_args__ = ("const", "source", "extend", "checks")
+
+    def __init__(self,
+                 const: list[int | None],  # per position: the constant's id, else None
+                 source: list[int],  # per position: the row slot bound earlier, else -1
+                 extend: Callable[[tuple], tuple],  # id-triple -> its newly bound ids
+                 checks: list[Callable[[tuple], bool]]):  # repeated variables, then filters
+        super().__init__(const, source, extend, checks)
 
     def run(self, rows: list[tuple], graph: Graph) -> list[tuple]:
         match_ids = graph.match_ids

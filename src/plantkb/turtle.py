@@ -37,10 +37,10 @@ graph.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from itertools import groupby
 from operator import itemgetter
 
+from ._record import Record
 from .graph import Graph, PrefixMap
 from .lexer import Lexer, Token, TokenParser
 from .terms import (
@@ -66,12 +66,13 @@ _LEXER = Lexer(
 )
 
 
-@dataclass(slots=True)
-class ParseOutcome:
+class ParseOutcome(Record):
     """A parsed document: the graph plus the base IRI in effect at the end."""
 
-    graph: Graph
-    base_iri: Iri | None
+    __slots__ = __match_args__ = ("graph", "base_iri")
+
+    def __init__(self, graph: Graph, base_iri: Iri | None):
+        super().__init__(graph, base_iri)
 
     @property
     def prefixes(self) -> PrefixMap:
@@ -184,7 +185,7 @@ class _Parser(TokenParser):
                                       open_tok, self._source(tok))
                 tok = next()
                 if outer_predicate is None:  # the list is the statement's subject
-                    if tok[0] == "dot":
+                    if tok[0] in _LIST_ENDS:  # and no predicate-object list follows it
                         return self._end_statement(tok)
                     state = _VERB
                     continue

@@ -78,16 +78,28 @@ def test_load_dataset_materializes_when_asked():
 # -- the HTTP stack loads with a server --------------------------------------------
 
 HTTP_STACK = ("http.server", "socketserver", "http.client", "email", "ssl", "socket")
+# what building records as dataclasses, logging and the bundled-file reader load
+CODEGEN_LOGGING_RESOURCES = ("dataclasses", "inspect", "ast", "dis", "logging", "traceback",
+                             "importlib.resources", "pathlib", "zipfile", "tempfile", "shutil")
 
 
-def test_importing_the_cli_loads_no_http_stack():
+def _loaded_by_importing_the_cli(modules, *flags):
     src = str(Path(plantkb.__file__).resolve().parent.parent)
     code = ("import sys; sys.path.insert(0, sys.argv[1]); before = set(sys.modules); "
             "import plantkb.cli; "
-            f"print(*[m for m in {HTTP_STACK!r} if m in sys.modules and m not in before])")
-    done = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True, timeout=60)
+            f"print(*[m for m in {modules!r} if m in sys.modules and m not in before])")
+    done = subprocess.run([sys.executable, *flags, "-c", code, src], capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == []
+    return done.stdout.split()
+
+
+def test_importing_the_cli_loads_no_http_stack():
+    assert _loaded_by_importing_the_cli(HTTP_STACK) == []
+
+
+def test_importing_the_cli_loads_no_code_generation_logging_or_resources():
+    # -S: no site hook loads any of them first
+    assert _loaded_by_importing_the_cli(CODEGEN_LOGGING_RESOURCES, "-S") == []
 
 
 def test_every_public_name_resolves():

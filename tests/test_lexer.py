@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plantkb.errors import PlantKbError
+from plantkb.lexer import Lexer
 from plantkb.sparql import parse_query
 from plantkb.turtle import parse_turtle
 
@@ -203,6 +204,10 @@ CHANGED = {
     # a '[ ... ]' list may stand alone (W3C RDF 1.1 Turtle, productions [6],
     # [14] and [162s]).  '[] .' used to parse to an empty graph.
     '[] .': ('ParseError', "line 1, column 4: predicate expected (IRI or 'a') (near '.')"),
+    # A '[ ... ]' subject followed by no predicate-object list ends its
+    # statement, so the missing '.' is reported as it is after '<s> <p> <o>';
+    # the closer used to read any token but '.' as the start of a verb.
+    '[ <http://e/p> <http://e/o> ]': ('ParseError', "line 1, column 30: expected '.' at end of statement"),
 }
 
 
@@ -222,6 +227,13 @@ def test_turtle_golden_errors(text, before):
 @pytest.mark.parametrize("text, before", SPARQL, ids=[f"sparql-{i}" for i in range(len(SPARQL))])
 def test_sparql_golden_errors(text, before):
     assert _outcome(parse_query, text) == CHANGED.get(text, before)
+
+
+def test_a_lexer_compiles_its_regex_at_the_first_scan():
+    lexer = Lexer({".": "dot"})
+    assert lexer._match is None
+    assert [kind for kind, _, _ in lexer.scan(". .")] == ["dot", "dot", "eof"]
+    assert lexer._match is not None
 
 
 def test_every_changed_row_is_in_a_table():
