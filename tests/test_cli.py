@@ -2,11 +2,15 @@
 
 import gc
 import json
+import os
 import socket
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import plantkb
 import plantkb.cli
 import plantkb.fixtures
 from plantkb.cli import main
@@ -330,3 +334,34 @@ def test_unknown_command_is_a_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+# -- hash-seed independence --------------------------------------------------------
+
+
+def test_outputs_do_not_depend_on_the_string_hash_seed(tmp_path):
+    # a writer that iterated a set of terms in hash order would give
+    # different bytes under different PYTHONHASHSEED values
+    fixture = str(FIXTURE_DIR / "defects" / "cn002.ttl")
+    src = str(Path(plantkb.__file__).resolve().parent.parent)
+    commands = [
+        ["validate", fixture, "--format", "json"],
+        ["infer", fixture, "--out", "OUT"],
+        ["query", fixture, "--query", "SELECT * WHERE { ?s ?p ?o }", "--format", "csv"],
+        ["export", fixture, "--mode", "classes"],
+    ]
+    outputs = []
+    for seed in ("1", "4242"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+        out = tmp_path / f"inferred-{seed}.ttl"
+        seen = []
+        for args in commands:
+            argv = [str(out) if a == "OUT" else a for a in args]
+            done = subprocess.run([sys.executable, "-m", "plantkb.cli", *argv],
+                                  capture_output=True, env=env, timeout=60)
+            assert done.returncode in (0, 1), done.stderr
+            seen.append((done.returncode, done.stdout))
+        seen.append(out.read_bytes())
+        outputs.append(seen)
+    assert outputs[0] == outputs[1]
+    assert all(stdout for _, stdout in outputs[0][:4])

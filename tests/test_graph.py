@@ -1,5 +1,7 @@
 """Triple store: indexes, match dispatch, instrumentation, snapshots, prefixes."""
 
+import bisect
+import itertools
 import math
 import random
 import threading
@@ -137,6 +139,65 @@ def test_full_scan_visits_everything():
     g = small_graph()
     _, stats = g.match_with_stats(TriplePattern(None, None, None))
     assert stats.entries_visited == len(g)
+
+
+# the view each bound-slot signature reads, and each view's slot order as
+# positions in (s, p, o)
+_VIEW_OF = {
+    (True, True, False): "spo", (True, False, False): "spo", (False, False, False): "spo",
+    (True, False, True): "osp", (False, False, True): "osp",
+    (False, True, True): "pos", (False, True, False): "pos",
+}
+_VIEW_POSITIONS = {"spo": (0, 1, 2), "pos": (1, 2, 0), "osp": (2, 0, 1)}
+
+
+def _counted_stats(g, ids):
+    """(index_used, entries_visited) for a read of ``ids``, counted apart from
+    the store: the key calls of a lower-bound bisect over the view's entries,
+    plus the run that agrees with the bound ids, plus the entry past the run."""
+    if None not in ids:
+        return "set", 1
+    order = _VIEW_OF[tuple(i is not None for i in ids)]
+    entries = g.index_entries(order)
+    prefix = tuple(ids[i] for i in _VIEW_POSITIONS[order] if ids[i] is not None)
+    if not prefix:
+        return order, len(entries)
+    calls = 0
+
+    def key(entry):
+        nonlocal calls
+        calls += 1
+        return entry[:len(prefix)]
+
+    lo = bisect.bisect_left(entries, prefix, key=key)
+    hi = lo
+    while hi < len(entries) and entries[hi][:len(prefix)] == prefix:
+        hi += 1
+    return order, calls + hi - lo + (hi < len(entries))
+
+
+def test_match_stats_equal_an_independent_count_for_every_signature():
+    rng = random.Random(61)
+    for _ in range(40):
+        names = [f"n{i}" for i in range(rng.randint(1, 7))]
+        g = Graph()
+        for _ in range(rng.randint(1, 120)):
+            g.insert(t(rng.choice(names), rng.choice(names[:3]), rng.choice(names)))
+        stored = list(g)
+        for bound in itertools.product((True, False), repeat=3):
+            for _ in range(4):
+                picked = rng.choice(stored) if rng.random() < 0.7 else Triple(
+                    iri(rng.choice(names)), iri(rng.choice(names)), iri(rng.choice(names)))
+                slots = [x if b else None for x, b in zip(
+                    (picked.subject, picked.predicate, picked.object), bound)]
+                pattern = TriplePattern(*slots)
+                ids = tuple(None if x is None else g.term_id(x) for x in slots)
+                _, stats = g.match_with_stats(pattern)
+                want = ("none", 0) if any(x is not None and i is None for x, i in zip(slots, ids)) \
+                    else _counted_stats(g, ids)
+                assert (stats.index_used, stats.entries_visited) == want, (bound, ids)
+        unknown = TriplePattern(None, iri("never-seen"), None)
+        assert g.match_with_stats(unknown)[1] == MatchStats("none", 0)
 
 
 def test_count_matching_upper_bounds_match():

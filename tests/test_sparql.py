@@ -12,6 +12,7 @@ from plantkb.fixtures import fixture_graph
 from plantkb.graph import Graph
 from plantkb.sparql import ResultSet, evaluate, parse_query, serialize_results
 from plantkb.terms import (
+    RDF_LANG_STRING,
     BlankNode,
     Iri,
     Literal,
@@ -280,6 +281,49 @@ def test_numeric_filters_compare_across_datatypes():
     # ordering comparisons silently drop non-numeric bindings
     gt = rows_of(f"SELECT ?s WHERE {{ ?s <{EX}p> ?v . FILTER(?v >= 5) }}", g)
     assert {r["s"] for r in gt} == {iri("s1"), iri("s2")}
+
+
+_DOUBLE = Iri("http://www.w3.org/2001/XMLSchema#double")
+# two values of each operand kind: integer, decimal, double, the double NaN,
+# plain string, language-tagged string, IRI, blank node
+_OPERANDS = [
+    Literal("2", XSD_INTEGER), Literal("-7", XSD_INTEGER),
+    Literal("2.0", XSD_DECIMAL), Literal("0.5", XSD_DECIMAL),
+    Literal("2e0", _DOUBLE), Literal("-1.5E1", _DOUBLE),
+    Literal("NaN", _DOUBLE), Literal("nan", _DOUBLE),
+    Literal("2"), Literal("b"),
+    Literal("b", RDF_LANG_STRING, "en"), Literal("2", RDF_LANG_STRING, "fr"),
+    iri("o2"), iri("b"),
+    BlankNode("b1"), BlankNode("b2"),
+]
+
+
+def _constant_text(term):
+    if isinstance(term, Iri):
+        return f"<{term.value}>"
+    if isinstance(term, BlankNode):
+        return f"_:{term.label}"
+    if term.language is not None:
+        return f'"{term.lexical}"@{term.language}'
+    return f'"{term.lexical}"^^<{term.datatype.value}>'
+
+
+@pytest.mark.parametrize("op", ["=", "!=", "<", "<=", ">", ">="])
+def test_each_comparison_agrees_with_the_oracle_on_every_pair_of_operand_kinds(op):
+    g = build(*(Triple(iri(f"s{i}"), iri("p"), v) for i, v in enumerate(_OPERANDS)))
+    for const in _OPERANDS:
+        text = f"SELECT ?s WHERE {{ ?s <{EX}p> ?v FILTER(?v {op} {_constant_text(const)}) }}"
+        got = {r["s"] for r in rows_of(text, g)}
+        want = {iri(f"s{i}") for i, v in enumerate(_OPERANDS) if oracles.filter_passes(op, v, const)}
+        assert got == want, text
+
+
+@pytest.mark.parametrize("pattern", ["2", "^b$", "N", "o2", "b1", "."])
+def test_regex_agrees_with_the_oracle_on_every_operand_kind(pattern):
+    g = build(*(Triple(iri(f"s{i}"), iri("p"), v) for i, v in enumerate(_OPERANDS)))
+    got = {r["s"] for r in rows_of(f'SELECT ?s WHERE {{ ?s <{EX}p> ?v FILTER regex(?v, "{pattern}") }}', g)}
+    want = {iri(f"s{i}") for i, v in enumerate(_OPERANDS) if oracles.filter_passes("regex", v, pattern)}
+    assert got == want
 
 
 def test_random_queries_match_enumeration_oracle():
