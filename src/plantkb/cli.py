@@ -64,12 +64,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
         property_name_pattern=args.property_pattern,
     )
     diagnostics = run_checks(graph, cfg)
-    if args.format == "json":
-        sys.stdout.write(render_json(diagnostics))
-    else:
-        sys.stdout.write(render_text(diagnostics))
-    has_errors = any(d.severity is Severity.ERROR for d in diagnostics)
-    return 1 if has_errors else 0
+    sys.stdout.write((render_json if args.format == "json" else render_text)(diagnostics))
+    return 1 if any(d.severity is Severity.ERROR for d in diagnostics) else 0
 
 
 def cmd_infer(args: argparse.Namespace) -> int:
@@ -92,12 +88,8 @@ def cmd_query(args: argparse.Namespace) -> int:
     if args.infer:
         materialize(graph)
     results = evaluate(query, graph)
-    if args.format == "json":
-        sys.stdout.write(serialize_results(results, "sparql-json"))
-    elif args.format == "csv":
-        sys.stdout.write(serialize_results(results, "csv"))
-    else:
-        sys.stdout.write(_render_table(results))
+    sys.stdout.write(_render_table(results) if args.format == "table" else
+                     serialize_results(results, "csv" if args.format == "csv" else "sparql-json"))
     return 0
 
 

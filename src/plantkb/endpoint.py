@@ -129,7 +129,11 @@ def serve(cfg: DatasetConfig) -> None:
 
 
 def __getattr__(name: str) -> object:
-    """``_Handler``, the request handler class, imported on first use (PEP 562)."""
+    """``_Handler``, the request handler class, imported on first use (PEP 562).
+
+    Two readers import it from here: ``tests/test_endpoint.py``, and
+    ``install()`` in ``perfbench/spans.py``, which wraps its do_GET and do_POST.
+    """
     if name == "_Handler":
         from ._http import _Handler
 

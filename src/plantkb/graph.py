@@ -114,7 +114,8 @@ def expand_qname(pm: PrefixMap, qname: str) -> Iri:
 
 
 class MatchStats(Record):
-    """Instrumentation for one match call: which view, how many entries touched."""
+    """Instrumentation for one :meth:`Graph.match_with_stats` call, which alone
+    builds it: which view, how many entries touched."""
 
     __slots__ = __match_args__ = ("index_used", "entries_visited")
 
@@ -281,12 +282,16 @@ class Graph:
         return self.match_with_stats(pattern)[0]
 
     def match_with_stats(self, pattern: TriplePattern) -> tuple[list[Triple], MatchStats]:
-        """Like :meth:`match`, plus a count of index entries examined."""
-        stats = MatchStats(index_used="none")
+        """Like :meth:`match`, plus the view read and the index entries
+        examined: the lower-bound probes (none for a membership test or a full
+        scan), the run, and the first entry past the run."""
         ids = self._pattern_ids(pattern)
         if ids is None:
-            return [], stats
-        found = self.match_ids(*ids, stats=stats)
+            return [], MatchStats("none")
+        order, entries, lo, hi = self._id_range(*ids)
+        probes = _probes(len(entries), lo) if 0 < ids.count(None) < 3 else 0
+        stats = MatchStats(order, probes + hi - lo + (hi < len(entries)))
+        found = entries[lo:hi]
         slots = pattern.slots()
         same = [(i, j) for i, j in ((0, 1), (0, 2), (1, 2))
                 if isinstance(slots[i], Var) and slots[i] == slots[j]]
@@ -294,13 +299,10 @@ class Graph:
             found = [t for t in found if all(t[i] == t[j] for i, j in same)]
         return [self._decode(t) for t in found], stats
 
-    def match_ids(self, s: int | None, p: int | None, o: int | None,
-                  stats: MatchStats | None = None) -> list[tuple[int, int, int]]:
+    def match_ids(self, s: int | None, p: int | None, o: int | None) -> list[tuple[int, int, int]]:
         """Id-triples (s, p, o) agreeing with every given id (None matches
-        anything), in index order; the view and entry count go into ``stats``."""
-        entries, lo, hi = self._id_range(s, p, o, stats)
-        if entries is None:
-            return [(s, p, o)] if hi else []  # type: ignore[list-item]
+        anything), in index order."""
+        _, entries, lo, hi = self._id_range(s, p, o)
         return entries[lo:hi]
 
     def _pattern_ids(self, pattern: TriplePattern) -> tuple[int | None, int | None, int | None] | None:
@@ -317,20 +319,16 @@ class Graph:
                 ids.append(None)
         return tuple(ids)  # type: ignore[return-value]
 
-    def _id_range(self, s: int | None, p: int | None, o: int | None,
-                  stats: MatchStats | None = None) -> tuple[list[tuple[int, int, int]] | None, int, int]:
-        """The view for the given ids and the [lo, hi) run of it holding every
-        triple that agrees with them.
+    def _id_range(self, s: int | None, p: int | None,
+                  o: int | None) -> tuple[str, list[tuple[int, int, int]], int, int]:
+        """The view read for the given ids, its entries, and the [lo, hi) run
+        of them holding every triple that agrees with the ids.
 
-        All three given is a membership test: (None, 0, 1) if present, else
-        (None, 0, 0).  With ``stats``, the view and the entries examined
-        (lower-bound probes plus the scan, which also reads the first entry
-        past the run) are recorded.
+        All three given is a membership test of the triple set: ("set",
+        [(s, p, o)], 0, 1) if present, else ("set", [(s, p, o)], 0, 0).
         """
         if s is not None and p is not None and o is not None:
-            if stats is not None:
-                stats.index_used, stats.entries_visited = "set", 1
-            return None, 0, int((s, p, o) in self._triples)
+            return "set", [(s, p, o)], 0, int((s, p, o) in self._triples)
 
         if s is not None and o is not None:
             order, key, first, past = _OSP, _O_S, (o, s), (o, s + 1)
@@ -346,24 +344,18 @@ class Graph:
             order, key, first, past = _OSP, _O, o, o + 1
         else:
             entries = self._view(_SPO)
-            if stats is not None:
-                stats.index_used, stats.entries_visited = _SPO, len(entries)
-            return entries, 0, len(entries)
+            return _SPO, entries, 0, len(entries)
         # ids are integers, so the run ends before the bound slots' successor
         entries = self._view(order)
         lo = bisect_left(entries, first, key=key)
-        hi = bisect_left(entries, past, lo, key=key)
-        if stats is not None:
-            stats.index_used = order
-            stats.entries_visited = _probes(len(entries), lo) + hi - lo + (hi < len(entries))
-        return entries, lo, hi
+        return order, entries, lo, bisect_left(entries, past, lo, key=key)
 
     def count_matching(self, pattern: TriplePattern) -> int:
         """Upper-bound match count by index range width (ignores repeated-var filtering)."""
         ids = self._pattern_ids(pattern)
         if ids is None:
             return 0
-        _, lo, hi = self._id_range(*ids)
+        _, _, lo, hi = self._id_range(*ids)
         return hi - lo
 
     # -- set-level access -------------------------------------------------------

@@ -13,9 +13,12 @@ plan is fixed before the first row: patterns are joined greedily, fewest
 unbound variables first, then smallest index count (a count of the
 pattern's constants alone, so it never depends on the rows), then query
 order; each variable gets a row slot and each constant is looked up once.  A
-row is a tuple of ids, and each step reads one id range of the store per
-incoming row.  Each FILTER runs at the step that first binds its variable,
-memoized per term id.  Ordering sorts the rows stably under a total term
+row is a tuple of ids, and each step is a function from rows to rows that
+reads one id range of the store per incoming row.  Each FILTER runs at the
+step that first binds its variable, memoized per term id.  A comparison
+applies its operator from one table, ``_COMPARE`` (SPARQL 1.1 section 17.3):
+numbers compare by value; otherwise ``=`` and ``!=`` compare terms and an
+ordering is false.  Ordering sorts the rows stably under a total term
 order (numeric literals by value, then other literals, then IRIs, then blank
 nodes), with one key per distinct id; projection, DISTINCT (on the projected
 ids) and OFFSET/LIMIT follow in that order, and only the rows that survive
@@ -32,7 +35,7 @@ import re
 from collections.abc import Callable
 from decimal import Decimal
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
+from operator import eq, ge, gt, itemgetter, le, lt, ne
 
 from ._record import Record
 from .graph import Graph, PrefixMap
@@ -48,10 +51,12 @@ from .terms import (
     Var,
 )
 
+# SPARQL 1.1 section 17.3: the operator each FILTER comparison applies
+_COMPARE = {"=": eq, "!=": ne, "<": lt, "<=": le, ">": gt, ">=": ge}
 _LEXER = Lexer(
     punctuation={
         "{": "lbrace", "}": "rbrace", "(": "lparen", ")": "rparen", ".": "dot", ",": "comma",
-        ";": "semi", "*": "star", "=": "op", "!=": "op", "<": "op", "<=": "op", ">": "op", ">=": "op",
+        ";": "semi", "*": "star", **dict.fromkeys(_COMPARE, "op"),
     },
     keywords={k: "kw" for k in (
         "SELECT", "DISTINCT", "WHERE", "PREFIX", "FILTER", "ORDER", "BY",
@@ -65,7 +70,6 @@ _LEXER = Lexer(
     variables=True,
     errors={"!": "'!' must be part of '!='"},
 )
-_COMPARISON_OPS = {"=", "!=", "<", "<=", ">", ">="}
 
 
 class FilterExpr(Record):
@@ -159,7 +163,10 @@ class _QueryParser(TokenParser):
                 if word in counts:
                     raise self._error(f"{word} given twice", kw)
                 tok = self._expect("integer", f"{word} count")
-                counts[word] = int(tok[1])  # type: ignore[arg-type]
+                try:
+                    counts[word] = int(tok[1])  # type: ignore[arg-type]
+                except ValueError:  # more digits than int() reads
+                    raise self._error(f"{word} count is too long", tok) from None
                 if counts[word] < 0:
                     raise self._error(f"{word} must be non-negative", tok)
             else:
@@ -222,37 +229,28 @@ class _QueryParser(TokenParser):
     def _filter(self) -> FilterExpr:
         # FILTER ( ?v op const ) | FILTER regex(?v, "pat") | FILTER ( regex(?v, "pat") )
         outer_paren = self._accept("lparen")
-        if self._at("kw", "REGEX"):
-            expr = self._regex_filter()
+        if self._accept("kw", "REGEX"):
+            self._expect("lparen", "'(' after regex")
+            var = self._expect("var", "regex variable")
+            self._expect("comma", "',' between regex arguments")
+            pat_tok = self._expect("string", "regex pattern string")
+            self._expect("rparen", "')' closing regex")
+            try:
+                re.compile(pat_tok[1])  # type: ignore[arg-type]
+            except (re.error, OverflowError) as exc:
+                raise self._error(f"invalid regex: {exc}", pat_tok) from exc
+            expr = FilterExpr("regex", var[1], pat_tok[1])  # type: ignore[arg-type]
+        elif not outer_paren:
+            raise self._error("expected '(' after FILTER", self.tok)
         else:
-            if not outer_paren:
-                raise self._error("expected '(' after FILTER", self.tok)
             var = self._expect("var", "FILTER variable")
-            op_tok = self._expect("op", "comparison operator")
-            op = op_tok[1]
-            if op not in _COMPARISON_OPS:
-                raise self._error(f"unsupported operator {op}", op_tok)
+            op = self._expect("op", "comparison operator")[1]
             if self._at("var"):
                 raise self._error("FILTER right-hand side must be a constant", self.tok)
-            const = self._pattern_term(allow_literal=True)
-            expr = FilterExpr(op=op, left=var[1], right=const)  # type: ignore[arg-type]
+            expr = FilterExpr(op, var[1], self._pattern_term(allow_literal=True))  # type: ignore[arg-type]
         if outer_paren:
             self._expect("rparen", "')' closing FILTER")
         return expr
-
-    def _regex_filter(self) -> FilterExpr:
-        self._expect("kw", "regex", "REGEX")
-        self._expect("lparen", "'(' after regex")
-        var = self._expect("var", "regex variable")
-        self._expect("comma", "',' between regex arguments")
-        pat_tok = self._expect("string", "regex pattern string")
-        self._expect("rparen", "')' closing regex")
-        pattern: str = pat_tok[1]  # type: ignore[assignment]
-        try:
-            re.compile(pattern)
-        except (re.error, OverflowError) as exc:
-            raise self._error(f"invalid regex: {exc}", pat_tok) from exc
-        return FilterExpr(op="regex", left=var[1], right=pattern)  # type: ignore[arg-type]
 
 
 def parse_query(text: str) -> Query:
@@ -263,35 +261,14 @@ def parse_query(text: str) -> Query:
 # -- evaluation --------------------------------------------------------------
 
 
-def _numeric(term: Term):
-    if isinstance(term, Literal):
-        return term.numeric_value()
-    return None
-
-
 def _passes(f: FilterExpr, value: Term) -> bool:
     if f.op == "regex":
-        if not isinstance(value, Literal):
-            return False
-        return re.search(f.right, value.lexical) is not None  # type: ignore[arg-type]
-    const = f.right
-    if f.op in ("=", "!="):
-        ln, rn = _numeric(value), _numeric(const)  # type: ignore[arg-type]
-        if ln is not None and rn is not None:
-            equal = ln == rn
-        else:
-            equal = value == const
-        return equal if f.op == "=" else not equal
-    ln, rn = _numeric(value), _numeric(const)  # type: ignore[arg-type]
-    if ln is None or rn is None:
-        return False
-    if f.op == "<":
-        return ln < rn
-    if f.op == "<=":
-        return ln <= rn
-    if f.op == ">":
-        return ln > rn
-    return ln >= rn
+        return isinstance(value, Literal) and re.search(f.right, value.lexical) is not None  # type: ignore[arg-type]
+    left = value.numeric_value() if isinstance(value, Literal) else None
+    right = f.right.numeric_value() if isinstance(f.right, Literal) else None
+    if left is None or right is None:  # not both numbers: terms are (un)equal, never ordered
+        return f.op in ("=", "!=") and _COMPARE[f.op](value, f.right)
+    return _COMPARE[f.op](left, right)
 
 
 def _order_key(term: Term):
@@ -330,23 +307,17 @@ def _filter_check(f: FilterExpr, position: int, term: Callable[[int], Term]):
     return check
 
 
-class _Step(Record):
-    """One pattern of the plan, read once per incoming row."""
+def _step(match_ids: Callable, const: list[int | None], source: list[int],
+          extend: Callable[[tuple], tuple], checks: list[Callable[[tuple], bool]]):
+    """One pattern of the plan, as a function from rows to rows: each row is
+    extended by every id-triple that agrees with the pattern's constants
+    (``const``, None where unbound) and the row's earlier bindings (``source``,
+    the row slot per position, else -1) and passes every check (repeated
+    variables, then filters); ``extend`` picks its newly bound ids."""
+    cs, cp, co = const
+    rs, rp, ro = source
 
-    __slots__ = __match_args__ = ("const", "source", "extend", "checks")
-
-    def __init__(self,
-                 const: list[int | None],  # per position: the constant's id, else None
-                 source: list[int],  # per position: the row slot bound earlier, else -1
-                 extend: Callable[[tuple], tuple],  # id-triple -> its newly bound ids
-                 checks: list[Callable[[tuple], bool]]):  # repeated variables, then filters
-        super().__init__(const, source, extend, checks)
-
-    def run(self, rows: list[tuple], graph: Graph) -> list[tuple]:
-        match_ids = graph.match_ids
-        extend, checks = self.extend, self.checks
-        cs, cp, co = self.const
-        rs, rp, ro = self.source
+    def step(rows: list[tuple]) -> list[tuple]:
         out: list[tuple] = []
         for row in rows:
             found = match_ids(row[rs] if rs >= 0 else cs,
@@ -360,8 +331,10 @@ class _Step(Record):
                     out.append(row + extend(t))
         return out
 
+    return step
 
-def _plan(query: Query, graph: Graph) -> tuple[list[_Step], dict[str, int]] | None:
+
+def _plan(query: Query, graph: Graph) -> tuple[list[Callable], dict[str, int]] | None:
     """The join steps and each variable's row slot, fixed before the first
     row; None when no row can survive (a constant the graph never interned,
     or a filter on a variable that no pattern binds)."""
@@ -380,16 +353,14 @@ def _plan(query: Query, graph: Graph) -> tuple[list[_Step], dict[str, int]] | No
         return None
 
     slots: dict[str, int] = {}
-    steps: list[_Step] = []
+    steps = []
     for i in order:
-        const: list[int | None] = []
-        source: list[int] = []
+        const: list[int | None] = [None, None, None]
+        source = [-1, -1, -1]
         new_positions: list[int] = []
         checks: list[Callable[[tuple], bool]] = []
         first_at: dict[str, int] = {}
         for pos, slot in enumerate(query.patterns[i].slots()):
-            const.append(None)
-            source.append(-1)
             if isinstance(slot, Var):
                 if slot.name in first_at:
                     a = first_at[slot.name]
@@ -401,28 +372,18 @@ def _plan(query: Query, graph: Graph) -> tuple[list[_Step], dict[str, int]] | No
                     slots[slot.name] = len(slots)
                     new_positions.append(pos)
             elif slot is not None:
-                tid = graph.term_id(slot)
-                if tid is None:
+                const[pos] = graph.term_id(slot)
+                if const[pos] is None:
                     return None
-                const[pos] = tid
-        for f in query.filters:
-            if f.left in first_at:
-                checks.append(_filter_check(f, first_at[f.left], graph.term))
-        steps.append(_Step(const, source, _take(new_positions), checks))
+        checks += [_filter_check(f, first_at[f.left], graph.term) for f in query.filters if f.left in first_at]
+        steps.append(_step(graph.match_ids, const, source, _take(new_positions), checks))
     return steps, slots
 
 
 def evaluate(query: Query, graph: Graph) -> ResultSet:
     """Join, filter, order, project, deduplicate, and slice."""
-    if query.select_vars == "*":
-        out_vars: list[str] = []
-        for p in query.patterns:
-            for name in p.variables():
-                if name not in out_vars:
-                    out_vars.append(name)
-    else:
-        out_vars = list(query.select_vars)
-
+    out_vars = (list(dict.fromkeys(name for p in query.patterns for name in p.variables()))
+                if query.select_vars == "*" else list(query.select_vars))
     plan = _plan(query, graph)
     if plan is None:
         return ResultSet(vars=out_vars, rows=[])
@@ -430,7 +391,7 @@ def evaluate(query: Query, graph: Graph) -> ResultSet:
 
     rows: list[tuple] = [()]
     for step in steps:
-        rows = step.run(rows, graph)
+        rows = step(rows)
         if not rows:
             break
 
@@ -446,12 +407,7 @@ def evaluate(query: Query, graph: Graph) -> ResultSet:
     if query.distinct:
         rows = list(dict.fromkeys(rows))
 
-    start = query.offset or 0
-    if start:
-        rows = rows[start:]
-    if query.limit is not None:
-        rows = rows[: query.limit]
-
+    rows = rows[query.offset or 0:][:query.limit]
     return ResultSet(vars=out_vars, rows=[
         {name: term(tid) for name, tid in zip(names, row)} for row in rows
     ])

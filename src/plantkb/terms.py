@@ -159,7 +159,10 @@ class Literal(FrozenRecord):
     def numeric_value(self) -> int | Decimal | float | None:
         """Numeric interpretation, or None when this literal is not a number."""
         if self.datatype == XSD_INTEGER:
-            return int(self.lexical)
+            try:
+                return int(self.lexical)
+            except ValueError:  # more digits than int() reads; Decimal is exact at any length
+                return Decimal(self.lexical)
         if self.datatype == XSD_DECIMAL:
             try:
                 return Decimal(self.lexical)

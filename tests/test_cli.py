@@ -168,6 +168,39 @@ def test_query_malformed_number_exits_2_without_traceback(capsys):
     assert "Traceback" not in err
 
 
+LONG_INTEGER = "1" * 5000  # past the digits int() reads from text
+LONG_PREFIX = "PREFIX ex: <http://example.test/long#> "
+
+
+def long_integer_file(tmp_path):
+    path = tmp_path / "long.ttl"
+    path.write_text(f"@prefix ex: <http://example.test/long#> .\nex:a ex:v {LONG_INTEGER} .\nex:b ex:v 0 .\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("where, subjects", [
+    ("{ ?s ex:v ?v FILTER(?v > 1) }", ["a"]),
+    (f"{{ ?s ex:v ?v FILTER(?v = {LONG_INTEGER}) }}", ["a"]),
+    (f"{{ ?s ex:v ?v FILTER(?v < {LONG_INTEGER}) }}", ["b"]),
+    ("{ ?s ex:v ?v } ORDER BY ?v", ["b", "a"]),
+    ("{ ?s ex:v ?v } ORDER BY DESC(?v)", ["a", "b"]),
+], ids=["above-one", "equal-to-it", "below-it", "ascending", "descending"])
+def test_query_compares_an_integer_of_any_length(where, subjects, tmp_path, capsys):
+    path = long_integer_file(tmp_path)
+    assert main(["query", path, "--query", f"{LONG_PREFIX}SELECT ?s WHERE {where}", "--format", "csv"]) == 0
+    rows = capsys.readouterr().out.split("\r\n")
+    assert rows == ["s", *(f"http://example.test/long#{s}" for s in subjects), ""]
+
+
+@pytest.mark.parametrize("word", ["LIMIT", "OFFSET"])
+def test_query_with_an_overlong_count_exits_2_without_traceback(word, tmp_path, capsys):
+    path = long_integer_file(tmp_path)
+    assert main(["query", path, "--query", f"SELECT ?s WHERE {{ ?s ?p ?v }} {word} {LONG_INTEGER}"]) == 2
+    err = capsys.readouterr().err
+    assert f"line 1, column {len('SELECT ?s WHERE { ?s ?p ?v } ') + len(word) + 2}: {word} count" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("args", [
     ["validate", "TTL"],
     ["infer", "TTL", "--out", "OUT"],

@@ -582,3 +582,25 @@ def test_make_server_rejects_bad_bind():
     cfg = DatasetConfig(source_path=CLEAN, bind_address="nowhere")
     with pytest.raises(ValueError):
         make_server(cfg)
+
+
+def test_integer_of_any_length_is_compared_and_an_overlong_limit_refused(tmp_path):
+    long = "1" * 5000  # past the digits int() reads from text
+    path = tmp_path / "long.ttl"
+    path.write_text(f"@prefix ex: <http://example.test/long#> .\nex:a ex:v {long} .\nex:b ex:v 0 .\n")
+    srv = make_server(DatasetConfig(source_path=str(path), bind_address="127.0.0.1:0"))
+    threading.Thread(target=srv.serve_forever, daemon=True).start()
+    served = srv.server_address[:2]
+    try:
+        prefix = "PREFIX ex: <http://example.test/long#> SELECT ?s WHERE { ?s ex:v ?v "
+        for where, subjects in (("FILTER(?v > 1) }", ["a"]), ("} ORDER BY DESC(?v)", ["a", "b"])):
+            status, _, body = request(served, "GET", "/sparql?query=" + quote(prefix + where))
+            assert status == 200, body
+            got = [b["s"]["value"] for b in json.loads(body)["results"]["bindings"]]
+            assert got == [f"http://example.test/long#{s}" for s in subjects]
+        status, _, body = request(served, "GET", "/sparql?query=" + quote(prefix + "} LIMIT " + long))
+        assert status == 400 and b"LIMIT count" in body
+        assert request(served, "GET", "/health")[::2] == (200, b"ok")
+    finally:
+        srv.shutdown()
+        srv.server_close()
