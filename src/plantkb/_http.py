@@ -146,10 +146,13 @@ class _Handler(BaseHTTPRequestHandler):
         self.request_version = "HTTP/1.1"
         self._refuse(code, (message or self.responses[code][0]).encode("utf-8"))
 
-    def _run_query(self, values: list[str] | None, missing: bytes) -> None:
-        """Answer the first of ``values``, or 400 with ``missing`` if there is none."""
-        if not values:
-            self._finish(400, missing)
+    def _run_query(self, values: list[str] | None, field: str) -> None:
+        """Answer the one query in ``values``, or 400 naming ``field`` if there
+        is none or more than one (SPARQL 1.1 Protocol, section 2.1: a query
+        operation carries exactly one query string)."""
+        if not values or len(values) > 1:
+            reason = "missing" if not values else "more than one"
+            self._finish(400, f"{reason} {field}".encode("ascii"))
             return
         try:
             results = sparql.evaluate(sparql.parse_query(values[0]), self.dataset)
@@ -166,7 +169,7 @@ class _Handler(BaseHTTPRequestHandler):
     def do_GET(self) -> None:
         parts = urlsplit(self.path)
         if parts.path == "/sparql":
-            self._run_query(parse_qs(parts.query).get("query"), b"missing query parameter")
+            self._run_query(parse_qs(parts.query).get("query"), "query parameter")
         elif parts.path == "/health":
             self._finish(200, b"ok")
         elif parts.path == "/stats":
@@ -187,7 +190,7 @@ class _Handler(BaseHTTPRequestHandler):
         content_type = (self.headers.get("Content-Type") or "").split(";")[0].strip().lower()
         if content_type == "application/x-www-form-urlencoded":
             values = parse_qs(text).get("query")
-        self._run_query(values, b"missing query form field")
+        self._run_query(values, "query form field")
 
     def _method_not_allowed(self) -> None:
         if urlsplit(self.path).path == "/sparql":

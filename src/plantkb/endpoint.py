@@ -3,7 +3,9 @@
 Routes:
     GET/POST /sparql   query via ?query=, application/sparql-query body, or
                        application/x-www-form-urlencoded body; responds with
-                       SPARQL JSON results (or CSV when Accept prefers text/csv)
+                       SPARQL JSON results (or CSV when Accept prefers text/csv);
+                       no query, or more than one, gets 400 (SPARQL 1.1
+                       Protocol, section 2.1)
     GET /health        200 "ok"
     GET /stats         {"triples": n, "classes": n, "properties": n, "individuals": n}
 

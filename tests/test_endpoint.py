@@ -253,6 +253,24 @@ def test_missing_query_is_rejected(server):
     assert (status, body) == (400, b"missing query form field")
 
 
+# SPARQL 1.1 Protocol, section 2.1: a query operation carries exactly one query string
+def test_get_with_two_query_parameters_is_rejected(server):
+    path = "/sparql?" + urlencode([("query", SUBCLASS_QUERY), ("query", "SELECT ?s WHERE { ?s ?p ?o }")])
+    status, headers, body = request(server, "GET", path)
+    assert (status, body) == (400, b"more than one query parameter")
+    assert headers["Content-Type"].startswith("text/plain")
+    status, _, body = request(server, "GET", "/sparql?" + urlencode([("query", SUBCLASS_QUERY)] * 2))
+    assert (status, body) == (400, b"more than one query parameter")
+
+
+def test_form_post_with_two_query_fields_is_rejected(server):
+    form = urlencode([("query", SUBCLASS_QUERY), ("query", SUBCLASS_QUERY)])
+    status, headers, body = request(server, "POST", "/sparql", body=form,
+                                    headers={"Content-Type": "application/x-www-form-urlencoded"})
+    assert (status, body) == (400, b"more than one query form field")
+    assert headers["Content-Type"].startswith("text/plain")
+
+
 def test_malformed_query_reports_position(server):
     bad = "SELECT ?s WHERE { ?s ?p"
     status, headers, body = request(server, "GET", "/sparql?query=" + quote(bad))
