@@ -6,7 +6,9 @@ and with them ``socketserver``, ``http.client``, ``email`` and ``ssl``.
 :func:`plantkb.endpoint.make_server` imports it, and so does the first read of
 ``plantkb.endpoint._Handler``, which names the same class.
 :mod:`plantkb.endpoint` describes the routes and the rules every response
-follows.
+follows.  :class:`AnswerCache` is the per-server cache of query answers that
+:func:`plantkb.endpoint.make_server` puts on the handler class beside the
+snapshot.
 """
 
 from __future__ import annotations
@@ -14,7 +16,9 @@ from __future__ import annotations
 import json
 import logging
 import socket
+import threading
 import time
+from collections import OrderedDict
 from http.server import BaseHTTPRequestHandler
 from urllib.parse import parse_qs, urlsplit
 
@@ -51,6 +55,52 @@ def _prefers_csv(accept: str | None) -> bool:
     return csv_q > json_q
 
 
+# what a query request is answered with: status, body, content type
+Answer = tuple[int, bytes, str]
+_CONTENT_TYPES = {"csv": "text/csv; charset=utf-8", "sparql-json": "application/sparql-results+json"}
+
+
+class AnswerCache:
+    """Least-recently-used map from (query text, format) to the answer sent.
+
+    An entry costs the UTF-8 bytes of its query text plus its body, and the
+    entries together never cost more than ``budget``: storing one evicts the
+    least recently used until it fits, and an answer that alone costs more is
+    not stored.  The lock is held for the dict operations only, never while
+    a query runs, so two requests that miss on one key both evaluate it and
+    store the same bytes.  ``hits`` and ``misses`` count the lookups.
+    """
+
+    def __init__(self, budget: int) -> None:
+        self.budget = budget
+        self.entries: OrderedDict[tuple[str, str], tuple[Answer, int]] = OrderedDict()
+        self.size = 0
+        self.hits = self.misses = 0
+        self._lock = threading.Lock()
+
+    def get(self, key: tuple[str, str]) -> Answer | None:
+        with self._lock:
+            entry = self.entries.get(key)
+            if entry is None:
+                self.misses += 1
+                return None
+            self.entries.move_to_end(key)
+            self.hits += 1
+            return entry[0]
+
+    def put(self, key: tuple[str, str], answer: Answer) -> None:
+        cost = len(key[0].encode("utf-8")) + len(answer[1])
+        if cost > self.budget:
+            return
+        with self._lock:
+            if key in self.entries:  # a concurrent miss stored the same answer
+                return
+            while self.size + cost > self.budget:
+                self.size -= self.entries.popitem(last=False)[1][1]
+            self.entries[key] = (answer, cost)
+            self.size += cost
+
+
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     # a read or write that waits longer raises TimeoutError; the stdlib then
@@ -58,6 +108,7 @@ class _Handler(BaseHTTPRequestHandler):
     timeout = REQUEST_TIMEOUT_S
     dataset: Graph
     dataset_stats: dict[str, int]
+    answer_cache: AnswerCache
 
     # one structured line per request instead of the default stderr format
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
@@ -154,17 +205,25 @@ class _Handler(BaseHTTPRequestHandler):
             reason = "missing" if not values else "more than one"
             self._finish(400, f"{reason} {field}".encode("ascii"))
             return
+        fmt = "csv" if _prefers_csv(self.headers.get("Accept")) else "sparql-json"
+        key = (values[0], fmt)
+        answer = self.answer_cache.get(key)
+        if answer is None:
+            answer = self._answer(*key)
+            self.answer_cache.put(key, answer)
+        self._finish(*answer)
+
+    def _answer(self, query: str, fmt: str) -> Answer:
+        """Run ``query`` over the snapshot and encode the result in ``fmt``.
+
+        The answer depends on nothing but the snapshot, the query text and
+        the format, so it can be cached; any other failure raises.
+        """
         try:
-            results = sparql.evaluate(sparql.parse_query(values[0]), self.dataset)
+            results = sparql.evaluate(sparql.parse_query(query), self.dataset)
         except (ParseError, UnknownPrefixError) as exc:
-            self._finish(400, str(exc).encode("utf-8"))
-            return
-        if _prefers_csv(self.headers.get("Accept")):
-            body = sparql.serialize_results(results, "csv").encode("utf-8")
-            self._finish(200, body, "text/csv; charset=utf-8")
-        else:
-            body = sparql.serialize_results(results, "sparql-json").encode("utf-8")
-            self._finish(200, body, "application/sparql-results+json")
+            return 400, str(exc).encode("utf-8"), "text/plain; charset=utf-8"
+        return 200, sparql.serialize_results(results, fmt).encode("utf-8"), _CONTENT_TYPES[fmt]
 
     def do_GET(self) -> None:
         parts = urlsplit(self.path)

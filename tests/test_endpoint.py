@@ -8,14 +8,18 @@ import subprocess
 import sys
 import threading
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from pathlib import Path
 from urllib.parse import quote, urlencode
 
 import pytest
 
 import plantkb
+import plantkb.endpoint
 import plantkb.fixtures
+import plantkb.sparql
 from plantkb.endpoint import (
     MAX_BODY_BYTES,
     REQUEST_TIMEOUT_S,
@@ -622,3 +626,161 @@ def test_integer_of_any_length_is_compared_and_an_overlong_limit_refused(tmp_pat
     finally:
         srv.shutdown()
         srv.server_close()
+
+
+# -- answer cache ----------------------------------------------------------------
+
+CLASS_QUERY = ("PREFIX owl: <http://www.w3.org/2002/07/owl#> "
+               "SELECT ?c WHERE { ?c a owl:Class } ORDER BY ?c")
+DUMP_QUERY = "SELECT ?s ?p ?o WHERE { ?s ?p ?o }"
+
+
+@contextmanager
+def serving(source_path=CLEAN, materialize_on_load=True):
+    """A fresh server, so a fresh answer cache: yields its address and the cache."""
+    srv = make_server(DatasetConfig(source_path=source_path, materialize_on_load=materialize_on_load,
+                                    bind_address="127.0.0.1:0"))
+    threading.Thread(target=srv.serve_forever, daemon=True).start()
+    try:
+        yield srv.server_address[:2], srv.RequestHandlerClass.answer_cache
+    finally:
+        srv.shutdown()
+        srv.server_close()
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """How often anything called each of plantkb.sparql's query functions
+    through the module (the handler does; this file's own imports do not)."""
+    counts = Counter()
+    for name in ("parse_query", "evaluate", "serialize_results"):
+        def counted(*args, _real=getattr(plantkb.sparql, name), _name=name):
+            counts[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(plantkb.sparql, name, counted)
+    return counts
+
+
+def get_query(served, query, accept=None):
+    return request(served, "GET", "/sparql?query=" + quote(query), headers={"Accept": accept} if accept else None)
+
+
+def without_date(response):
+    status, headers, body = response
+    return status, sorted((name, value) for name, value in headers.items() if name != "Date"), body
+
+
+def uncached_answer(query, fmt="sparql-json", source_path=CLEAN, materialize_on_load=True):
+    snapshot, _ = load_dataset(DatasetConfig(source_path=source_path, materialize_on_load=materialize_on_load))
+    return serialize_results(evaluate(parse_query(query), snapshot), fmt).encode("utf-8")
+
+
+def entry_cost(query, body):
+    return len(query.encode("utf-8")) + len(body)
+
+
+def test_a_repeated_query_gets_the_same_answer_without_a_second_evaluation(calls):
+    with serving() as (served, cache):
+        first, second = get_query(served, SUBCLASS_QUERY), get_query(served, SUBCLASS_QUERY)
+    assert first[0] == 200 and first[2] == expected_json_body(SUBCLASS_QUERY)
+    assert without_date(second) == without_date(first)
+    assert calls == {"parse_query": 1, "evaluate": 1, "serialize_results": 1}
+    assert (cache.hits, cache.misses) == (1, 1)
+
+
+def test_get_and_both_posts_share_one_entry_and_each_format_has_its_own(calls):
+    with serving() as (served, cache):
+        answers = [
+            get_query(served, SUBCLASS_QUERY),
+            request(served, "POST", "/sparql", body=urlencode({"query": SUBCLASS_QUERY}),
+                    headers={"Content-Type": "application/x-www-form-urlencoded"}),
+            request(served, "POST", "/sparql", body=SUBCLASS_QUERY.encode("utf-8"),
+                    headers={"Content-Type": "application/sparql-query"}),
+        ]
+        csv = [get_query(served, SUBCLASS_QUERY, "text/csv"),
+               request(served, "POST", "/sparql", body=SUBCLASS_QUERY.encode("utf-8"),
+                       headers={"Accept": "text/csv"})]
+        keys = list(cache.entries)
+    assert without_date(answers[0]) == without_date(answers[1]) == without_date(answers[2])
+    assert without_date(csv[0]) == without_date(csv[1])
+    assert csv[0][2] == uncached_answer(SUBCLASS_QUERY, "csv")
+    assert csv[0][1]["Content-Type"] == "text/csv; charset=utf-8"
+    assert calls["evaluate"] == 2
+    assert keys == [(SUBCLASS_QUERY, "sparql-json"), (SUBCLASS_QUERY, "csv")]
+
+
+def test_a_repeated_malformed_query_gets_the_same_400(calls):
+    bad = "SELECT ?s WHERE { ?s ?p"
+    with serving() as (served, cache):
+        first, second = get_query(served, bad), get_query(served, bad)
+    assert first[0] == 400 and first[2].startswith(b"line 1, column ")
+    assert without_date(second) == without_date(first)
+    assert calls["parse_query"] == 1 and calls["evaluate"] == 0
+    assert (cache.hits, cache.misses) == (1, 1)
+
+
+def test_servers_over_different_files_never_share_answers(tmp_path):
+    query = "SELECT ?v WHERE { ?s ?p ?v }"
+    paths = []
+    for value in (1, 2):
+        paths.append(tmp_path / f"kb{value}.ttl")
+        paths[-1].write_text(f"<http://example.test/a> <http://example.test/v> {value} .\n")
+    with serving(str(paths[0]), False) as (one, _), serving(str(paths[1]), False) as (two, _):
+        bodies = [get_query(served, query)[2] for served in (one, two, one, two)]
+    expected = [uncached_answer(query, source_path=str(path), materialize_on_load=False) for path in paths]
+    assert expected[0] != expected[1]
+    assert bodies == expected * 2
+
+
+def test_the_stored_bytes_never_pass_the_bound(monkeypatch):
+    queries = [SUBCLASS_QUERY, CLASS_QUERY, "SELECT ?s WHERE { ?s ?p ?o } LIMIT 3",
+               "SELECT ?o WHERE { ?s ?p ?o } ORDER BY ?o LIMIT 20", "SELECT ?s WHERE { ?s ?p"]
+    budget = 3 * max(entry_cost(q, uncached_answer(q)) for q in queries[:4]) // 2
+    monkeypatch.setattr(plantkb.endpoint, "ANSWER_CACHE_BYTES", budget)
+    with serving() as (served, cache):
+        for index in (0, 1, 2, 3, 4, 0, 2, 4, 1, 3, 3, 0):
+            status, _, body = get_query(served, queries[index])
+            assert status == (400 if index == 4 else 200)
+            assert cache.size == sum(entry_cost(query, answer[1]) for (query, _), (answer, _) in cache.entries.items())
+            assert 0 < cache.size <= budget
+        assert cache.hits > 0 and len(cache.entries) < len(queries)
+
+
+def test_the_least_recently_used_answer_is_evicted_first(monkeypatch, calls):
+    costs = [entry_cost(q, uncached_answer(q)) for q in (SUBCLASS_QUERY, CLASS_QUERY, DUMP_QUERY)]
+    # room for the first query and one of the others, never for all three
+    monkeypatch.setattr(plantkb.endpoint, "ANSWER_CACHE_BYTES", costs[0] + max(costs[1:]))
+    with serving() as (served, cache):
+        for query in (SUBCLASS_QUERY, CLASS_QUERY, SUBCLASS_QUERY, DUMP_QUERY):
+            assert get_query(served, query)[0] == 200
+        assert [query for query, _ in cache.entries] == [SUBCLASS_QUERY, DUMP_QUERY]
+        assert calls["evaluate"] == 3
+        assert get_query(served, CLASS_QUERY)[2] == uncached_answer(CLASS_QUERY)
+        assert calls["evaluate"] == 4
+
+
+def test_an_answer_over_the_whole_budget_is_sent_and_not_stored(monkeypatch, calls):
+    body = uncached_answer(DUMP_QUERY)
+    monkeypatch.setattr(plantkb.endpoint, "ANSWER_CACHE_BYTES", entry_cost(DUMP_QUERY, body) - 1)
+    with serving() as (served, cache):
+        assert get_query(served, SUBCLASS_QUERY)[0] == 200
+        for _ in range(2):
+            status, headers, got = get_query(served, DUMP_QUERY)
+            assert (status, got, headers["Content-Length"]) == (200, body, str(len(body)))
+        assert [query for query, _ in cache.entries] == [SUBCLASS_QUERY]
+        assert calls["evaluate"] == 3
+
+
+def test_concurrent_requests_all_get_the_uncached_answer():
+    queries = [SUBCLASS_QUERY, CLASS_QUERY, DUMP_QUERY]
+    expected = {query: uncached_answer(query) for query in queries}
+
+    def client(shift):
+        return [(query, get_query(served, query)) for query in queries[shift:] + queries[:shift]]
+
+    with serving() as (served, cache):
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            outcomes = [pair for pairs in pool.map(client, range(4)) for pair in pairs]
+    assert len(outcomes) == 12
+    assert all(status == 200 and body == expected[query] for query, (status, _, body) in outcomes)
+    assert cache.hits + cache.misses == 12 and len(cache.entries) == 3
