@@ -22,8 +22,8 @@ query that does not parse or names an unknown prefix are kept; nothing that
 depends on time is.  An entry costs its query text plus its body in bytes, the
 entries together at most ANSWER_CACHE_BYTES (8 MiB): the least recently used
 go first, and an answer larger than the whole budget is sent but not kept.
-The cache's lock, the one lock a request handler takes, is held for its dict
-operations only, never while a query runs.  A cached answer runs no parse,
+The cache's lock is held for its dict operations only, never while a query
+runs.  A cached answer runs no parse,
 evaluate or serialize stage, so it has no stage to time; the cache counts its
 hits and misses.
 

@@ -778,9 +778,15 @@ def test_concurrent_requests_all_get_the_uncached_answer():
     def client(shift):
         return [(query, get_query(served, query)) for query in queries[shift:] + queries[:shift]]
 
-    with serving() as (served, cache):
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            outcomes = [pair for pairs in pool.map(client, range(4)) for pair in pairs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, so that a lost update would show
+    try:
+        with serving() as (served, cache):
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                outcomes = [pair for pairs in pool.map(client, range(4)) for pair in pairs]
+    finally:
+        sys.setswitchinterval(interval)
     assert len(outcomes) == 12
     assert all(status == 200 and body == expected[query] for query, (status, _, body) in outcomes)
     assert cache.hits + cache.misses == 12 and len(cache.entries) == 3
+    assert cache.size == sum(entry_cost(query, answer[1]) for (query, _), (answer, _) in cache.entries.items())
