@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import logging
 import socket
+import sys
 import threading
 import time
 from collections import OrderedDict
@@ -58,38 +59,47 @@ def _prefers_csv(accept: str | None) -> bool:
 # what a query request is answered with: status, body, content type
 Answer = tuple[int, bytes, str]
 _CONTENT_TYPES = {"csv": "text/csv; charset=utf-8", "sparql-json": "application/sparql-results+json"}
+# the memory one entry takes beyond its query text and body objects: the key,
+# answer and entry tuples, the cost int and the OrderedDict's slot and link
+# (at most ~380 bytes under tracemalloc on CPython 3.11-3.13, with churn)
+ENTRY_OVERHEAD_BYTES = 512
 
 
 class AnswerCache:
     """Least-recently-used map from (query text, format) to the answer sent.
 
-    An entry costs the UTF-8 bytes of its query text plus its body, and the
-    entries together never cost more than ``budget``: storing one evicts the
-    least recently used until it fits, and an answer that alone costs more is
-    not stored.  The lock is held for the dict operations only, never while
-    a query runs, so two requests that miss on one key both evaluate it and
-    store the same bytes.  ``hits`` and ``misses`` count the lookups.
+    The handler stores the 200s and the 400s for a query that does not parse
+    or names an unknown prefix: over an immutable snapshot these depend on
+    nothing but the query text and the format, so an entry never goes stale.
+    Nothing that depends on time is stored.  GET, form POST and raw POST of
+    one query share an entry; each format has its own.  A hit is answered
+    with the stored bytes and runs no parse, evaluate or serialize stage, so
+    it has no stage to time.
+
+    An entry costs the memory of its query text and body objects plus
+    ``ENTRY_OVERHEAD_BYTES``, and the entries together never cost more than
+    ``budget``: storing one evicts the least recently used until it fits,
+    and an answer that alone costs more is sent but not stored.  The lock is
+    held for the dict operations only, never while a query runs, so two
+    requests that miss on one key both evaluate it and store the same bytes.
     """
 
     def __init__(self, budget: int) -> None:
         self.budget = budget
         self.entries: OrderedDict[tuple[str, str], tuple[Answer, int]] = OrderedDict()
         self.size = 0
-        self.hits = self.misses = 0
         self._lock = threading.Lock()
 
     def get(self, key: tuple[str, str]) -> Answer | None:
         with self._lock:
             entry = self.entries.get(key)
             if entry is None:
-                self.misses += 1
                 return None
             self.entries.move_to_end(key)
-            self.hits += 1
             return entry[0]
 
     def put(self, key: tuple[str, str], answer: Answer) -> None:
-        cost = len(key[0].encode("utf-8")) + len(answer[1])
+        cost = sys.getsizeof(key[0]) + sys.getsizeof(answer[1]) + ENTRY_OVERHEAD_BYTES
         if cost > self.budget:
             return
         with self._lock:

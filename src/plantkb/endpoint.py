@@ -15,17 +15,9 @@ nothing but its text and the result format.  GET and POST of the same query
 produce byte-identical bodies.  The bind address comes from the --bind flag,
 then the PLANTKB_BIND environment variable, then 127.0.0.1:3030.
 
-Each server keeps the query answers it sent (status, body, content type) in
-one least-recently-used cache keyed by (query text, format), and answers a
-repeated query from it with the same bytes.  Only the 200s and the 400s for a
-query that does not parse or names an unknown prefix are kept; nothing that
-depends on time is.  An entry costs its query text plus its body in bytes, the
-entries together at most ANSWER_CACHE_BYTES (8 MiB): the least recently used
-go first, and an answer larger than the whole budget is sent but not kept.
-The cache's lock is held for its dict operations only, never while a query
-runs.  A cached answer runs no parse,
-evaluate or serialize stage, so it has no stage to time; the cache counts its
-hits and misses.
+A repeated query is answered from a per-server least-recently-used cache
+bounded by ANSWER_CACHE_BYTES; :class:`plantkb._http.AnswerCache` states
+what it keeps and how.
 
 Every request's body is read before its method runs, whatever the method and
 path, so a body is never taken as the next request on the connection.  A body
@@ -73,8 +65,9 @@ DEFAULT_BIND = "127.0.0.1:3030"
 BIND_ENV_VAR = "PLANTKB_BIND"
 # a request body declared larger than this gets 413 and is never read
 MAX_BODY_BYTES = 1 << 20
-# query text plus body bytes of the answers one server keeps for repeated queries
-ANSWER_CACHE_BYTES = 8 << 20
+# memory one server's answer cache may take (plantkb._http.AnswerCache), so
+# the most a server fed only distinct queries grows by
+ANSWER_CACHE_BYTES = 2 << 20
 # how long a connection closed with an unread body drops what still arrives
 LINGER_S = 2.0
 # how long a handler waits on a silent client (request line, headers or body)

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
@@ -29,6 +30,7 @@ from plantkb.endpoint import (
     make_server,
     resolve_bind,
 )
+from plantkb._http import ENTRY_OVERHEAD_BYTES, AnswerCache
 from plantkb.errors import FrozenGraphError
 from plantkb.sparql import evaluate, parse_query, serialize_results
 from plantkb.terms import Iri, Triple
@@ -676,7 +678,7 @@ def uncached_answer(query, fmt="sparql-json", source_path=CLEAN, materialize_on_
 
 
 def entry_cost(query, body):
-    return len(query.encode("utf-8")) + len(body)
+    return sys.getsizeof(query) + sys.getsizeof(body) + ENTRY_OVERHEAD_BYTES
 
 
 def test_a_repeated_query_gets_the_same_answer_without_a_second_evaluation(calls):
@@ -685,7 +687,7 @@ def test_a_repeated_query_gets_the_same_answer_without_a_second_evaluation(calls
     assert first[0] == 200 and first[2] == expected_json_body(SUBCLASS_QUERY)
     assert without_date(second) == without_date(first)
     assert calls == {"parse_query": 1, "evaluate": 1, "serialize_results": 1}
-    assert (cache.hits, cache.misses) == (1, 1)
+    assert list(cache.entries) == [(SUBCLASS_QUERY, "sparql-json")]
 
 
 def test_get_and_both_posts_share_one_entry_and_each_format_has_its_own(calls):
@@ -715,8 +717,8 @@ def test_a_repeated_malformed_query_gets_the_same_400(calls):
         first, second = get_query(served, bad), get_query(served, bad)
     assert first[0] == 400 and first[2].startswith(b"line 1, column ")
     assert without_date(second) == without_date(first)
-    assert calls["parse_query"] == 1 and calls["evaluate"] == 0
-    assert (cache.hits, cache.misses) == (1, 1)
+    assert calls == {"parse_query": 1}
+    assert list(cache.entries) == [(bad, "sparql-json")]
 
 
 def test_servers_over_different_files_never_share_answers(tmp_path):
@@ -743,7 +745,28 @@ def test_the_stored_bytes_never_pass_the_bound(monkeypatch):
             assert status == (400 if index == 4 else 200)
             assert cache.size == sum(entry_cost(query, answer[1]) for (query, _), (answer, _) in cache.entries.items())
             assert 0 < cache.size <= budget
-        assert cache.hits > 0 and len(cache.entries) < len(queries)
+        assert len(cache.entries) < len(queries)
+
+
+def test_many_tiny_answers_take_no_more_memory_than_the_budget():
+    # distinct malformed queries make the cheapest entries, so per-entry
+    # objects weigh most against the budget here
+    budget = 1 << 20
+    cache = AnswerCache(budget)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for i in range(3 * budget // ENTRY_OVERHEAD_BYTES):
+            query = f"SELECT ?s WHERE {{ ?s ?p {i}"
+            cache.put((query, "sparql-json"),
+                      (400, f"line 1, column {len(query) + 1}: expected a term".encode("utf-8"),
+                       "text/plain; charset=utf-8"))
+        taken = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert budget // 2 < cache.size <= budget
+    assert len(cache.entries) * ENTRY_OVERHEAD_BYTES < cache.size
+    assert taken <= budget
 
 
 def test_the_least_recently_used_answer_is_evicted_first(monkeypatch, calls):
@@ -771,7 +794,7 @@ def test_an_answer_over_the_whole_budget_is_sent_and_not_stored(monkeypatch, cal
         assert calls["evaluate"] == 3
 
 
-def test_concurrent_requests_all_get_the_uncached_answer():
+def test_concurrent_requests_all_get_the_uncached_answer(calls):
     queries = [SUBCLASS_QUERY, CLASS_QUERY, DUMP_QUERY]
     expected = {query: uncached_answer(query) for query in queries}
 
@@ -788,5 +811,5 @@ def test_concurrent_requests_all_get_the_uncached_answer():
         sys.setswitchinterval(interval)
     assert len(outcomes) == 12
     assert all(status == 200 and body == expected[query] for query, (status, _, body) in outcomes)
-    assert cache.hits + cache.misses == 12 and len(cache.entries) == 3
+    assert calls["evaluate"] == calls["serialize_results"] >= 3 and len(cache.entries) == 3
     assert cache.size == sum(entry_cost(query, answer[1]) for (query, _), (answer, _) in cache.entries.items())
