@@ -174,12 +174,28 @@ def closure(triples) -> set[Triple]:
 # -- query answering by assignment enumeration ---------------------------------
 
 
+def _integer(lexical: str) -> int:
+    """The exact value of an xsd:integer lexical form of any length.
+
+    W3C XML Schema Part 2 §3.3.13 gives xsd:integer an unbounded value
+    space, but ``int(str)`` refuses more than 4,300 digits, so the digits are
+    read in short runs and accumulated: value = value * 10**len(run) + run.
+    """
+    sign = -1 if lexical.startswith("-") else 1
+    digits = lexical[1:] if lexical[:1] in ("+", "-") else lexical
+    value = 0
+    for start in range(0, len(digits), 1000):
+        run = digits[start:start + 1000]
+        value = value * 10 ** len(run) + int(run)
+    return sign * value
+
+
 def _num(term):
     if not isinstance(term, Literal):
         return None
     dt = term.datatype.value
     if dt == _XSD + "integer":
-        return int(term.lexical)
+        return _integer(term.lexical)
     if dt == _XSD + "decimal":
         return Decimal(term.lexical)
     if dt in (_XSD + "double", _XSD + "float"):
