@@ -288,6 +288,7 @@ _DOUBLE = Iri("http://www.w3.org/2001/XMLSchema#double")
 # plain string, language-tagged string, IRI, blank node
 _OPERANDS = [
     Literal("2", XSD_INTEGER), Literal("-7", XSD_INTEGER),
+    Literal("2" + "0" * 4999, XSD_INTEGER),  # 2×10^4999: more digits than int() reads
     Literal("2.0", XSD_DECIMAL), Literal("0.5", XSD_DECIMAL),
     Literal("2e0", _DOUBLE), Literal("-1.5E1", _DOUBLE),
     Literal("NaN", _DOUBLE), Literal("nan", _DOUBLE),
