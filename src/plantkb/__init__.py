@@ -28,7 +28,7 @@ from .terms import (
     Var,
     term_sort_key,
 )
-from .graph import Graph, MatchStats, PrefixMap, expand_qname
+from .graph import Graph, MatchStats, PrefixMap
 from .turtle import ParseOutcome, parse_turtle, serialize_turtle
 from .ontology import (
     ClassTree,
@@ -39,7 +39,6 @@ from .ontology import (
     PropertyKind,
     class_tree,
     extract_ontology,
-    instances_of,
     to_dot,
 )
 from .reasoner import (
@@ -100,11 +99,9 @@ __all__ = [
     "check_consistency",
     "class_tree",
     "evaluate",
-    "expand_qname",
     "extract_ontology",
     "fixture_graph",
     "fixture_text",
-    "instances_of",
     "load_dataset",
     "make_server",
     "manifest",

@@ -22,13 +22,14 @@ the view chosen by the pattern's bound-slot signature:
 The table is fixed, not adaptive.  A bisect reads only the bound slots of a
 view's entries.  One range lookup serves both :meth:`Graph.match` (decoded
 triples) and :meth:`Graph.match_ids` (id-triples, for callers that join on
-ids and decode late).  Writes come as decoded triples through
-:meth:`Graph.insert`, which interns their terms, or as id-triples of
-already interned terms through :meth:`Graph.add_ids`, which checks and adds
-a whole batch under one lock (the Turtle parser's path).  A graph supports many
-concurrent readers or one exclusive writer; handlers that must never observe
-mutation should work on a :meth:`Graph.snapshot`, which is an independent
-frozen copy with every view already sorted.
+ids and decode late).  The store is append-only: writes come as decoded
+triples through :meth:`Graph.insert`, which interns their terms (the
+reasoner's path), or as id-triples of already interned terms through
+:meth:`Graph.add_ids`, which checks and adds a whole batch under one lock
+(the Turtle parser's path).  A graph supports many concurrent readers or one
+exclusive writer; handlers that must never observe mutation should work on a
+:meth:`Graph.snapshot`, which is an independent frozen copy with every view
+already sorted.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from itertools import repeat
 from operator import itemgetter
 
 from ._record import Record
-from .errors import FrozenGraphError, MalformedTripleError, UnknownPrefixError
+from .errors import FrozenGraphError, MalformedTripleError
 from .terms import BlankNode, Iri, Literal, Term, Triple, TriplePattern, Var
 
 _SPO, _POS, _OSP = "spo", "pos", "osp"
@@ -68,19 +69,6 @@ class PrefixMap:
     def namespace(self, prefix: str) -> Iri | None:
         return self._entries.get(prefix)
 
-    def expand(self, qname: str) -> Iri:
-        """Expand ``prefix:local`` to a full IRI.
-
-        Raises UnknownPrefixError when the prefix has no binding.
-        """
-        prefix, sep, local = qname.partition(":")
-        if not sep:
-            raise UnknownPrefixError(qname)
-        ns = self._entries.get(prefix)
-        if ns is None:
-            raise UnknownPrefixError(prefix)
-        return Iri(ns.value + local)
-
     def compact(self, iri: Iri) -> str | None:
         """Prefixed form of ``iri`` under the longest matching namespace, or None."""
         best: tuple[int, str, str] | None = None
@@ -100,17 +88,6 @@ class PrefixMap:
 
     def copy(self) -> "PrefixMap":
         return PrefixMap(self._entries)
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, prefix: str) -> bool:
-        return prefix in self._entries
-
-
-def expand_qname(pm: PrefixMap, qname: str) -> Iri:
-    """Module-level alias for :meth:`PrefixMap.expand`."""
-    return pm.expand(qname)
 
 
 class MatchStats(Record):
@@ -241,18 +218,6 @@ class Graph:
         with self._write_lock:
             return self._add(batch)
 
-    def remove(self, t: Triple) -> bool:
-        """Remove a triple; True iff it was present."""
-        self._check_writable()
-        with self._write_lock:
-            ids = tuple(self.term_id(term) for term in (t.subject, t.predicate, t.object))
-            if None in ids or ids not in self._triples:
-                return False
-            self._triples.remove(ids)  # type: ignore[arg-type]
-            if self._views:
-                self._views = {}
-            return True
-
     # -- views ----------------------------------------------------------------
 
     def _view(self, order: str) -> list[tuple[int, int, int]]:
@@ -381,9 +346,6 @@ class Graph:
     def __hash__(self):  # mutable container
         raise TypeError("Graph is unhashable")
 
-    def triples(self) -> set[Triple]:
-        return set(self)
-
     # -- lifecycle ---------------------------------------------------------------
 
     def copy(self) -> "Graph":
@@ -396,13 +358,9 @@ class Graph:
         return g
 
     def snapshot(self) -> "Graph":
-        """Independent frozen copy; insert/remove on it raise FrozenGraphError."""
+        """Independent frozen copy; insert/add_ids on it raise FrozenGraphError."""
         g = self.copy()
         for order in _KEYS:
             g._view(order)
         g._frozen = True
         return g
-
-    @property
-    def frozen(self) -> bool:
-        return self._frozen

@@ -15,7 +15,7 @@ Also renders the hierarchy and the property graph as GraphViz DOT text.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
 from ._record import FrozenRecord
 from .errors import SubclassCycleError
@@ -165,28 +165,12 @@ class ClassTree(FrozenRecord):
     def __init__(self, root: Iri, children: dict[Iri, tuple[Iri, ...]]):
         super().__init__(root, children)
 
-    def children_of(self, iri: Iri) -> tuple[Iri, ...]:
-        return self.children.get(iri, ())
-
     def nodes(self) -> list[Iri]:
         seen = {self.root}
         for parent, kids in self.children.items():
             seen.add(parent)
             seen.update(kids)
         return sorted(seen, key=term_sort_key)
-
-    def __contains__(self, iri: Iri) -> bool:
-        if iri == self.root or iri in self.children:
-            return True
-        return any(iri in kids for kids in self.children.values())
-
-    def preorder(self) -> Iterator[tuple[Iri, int]]:
-        """Depth-first (node, depth) walk; multi-parent nodes appear once per edge."""
-        stack = [(self.root, 0)]
-        while stack:
-            node, depth = stack.pop()
-            yield node, depth
-            stack.extend((child, depth + 1) for child in reversed(self.children.get(node, ())))
 
 
 def class_tree(graph: Graph) -> ClassTree:
@@ -216,28 +200,6 @@ def class_tree(graph: Graph) -> ClassTree:
         root=OWL_THING,
         children={p: tuple(sorted(kids, key=term_sort_key)) for p, kids in children.items()},
     )
-
-
-def instances_of(graph: Graph, c: Iri, mode: str = "direct") -> set[Iri]:
-    """IRI subjects typed ``c``.
-
-    mode="direct" reads the graph as-is; mode="inferred" first materializes a
-    working copy so membership respects the subclass closure (a no-op when
-    the graph is already materialized).
-    """
-    if mode == "inferred":
-        from .reasoner import materialize
-
-        working = graph.copy()
-        materialize(working)
-        graph = working
-    elif mode != "direct":
-        raise ValueError(f"mode must be 'direct' or 'inferred', got {mode!r}")
-    return {
-        t.subject
-        for t in graph.match(TriplePattern(None, RDF_TYPE, c))
-        if isinstance(t.subject, Iri)
-    }
 
 
 # -- DOT rendering --------------------------------------------------------------

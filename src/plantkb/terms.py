@@ -74,7 +74,6 @@ OWL_CLASS = Iri(OWL + "Class")
 OWL_THING = Iri(OWL + "Thing")
 OWL_OBJECT_PROPERTY = Iri(OWL + "ObjectProperty")
 OWL_DATATYPE_PROPERTY = Iri(OWL + "DatatypeProperty")
-OWL_ANNOTATION_PROPERTY = Iri(OWL + "AnnotationProperty")
 OWL_TRANSITIVE_PROPERTY = Iri(OWL + "TransitiveProperty")
 OWL_SYMMETRIC_PROPERTY = Iri(OWL + "SymmetricProperty")
 OWL_INVERSE_OF = Iri(OWL + "inverseOf")
@@ -262,9 +261,6 @@ class TriplePattern(FrozenRecord):
             if isinstance(slot, Var) and slot.name not in names:
                 names.append(slot.name)
         return names
-
-    def is_concrete(self) -> bool:
-        return all(isinstance(s, (Iri, BlankNode, Literal)) for s in self.slots())
 
 
 def term_sort_key(term: Term) -> tuple:

@@ -1,4 +1,4 @@
-"""Ontology view, class tree, instance queries, DOT export."""
+"""Ontology view, class tree, DOT export."""
 
 import pytest
 
@@ -10,9 +10,9 @@ from plantkb.ontology import (
     PropertyKind,
     class_tree,
     extract_ontology,
-    instances_of,
     to_dot,
 )
+from plantkb.reasoner import materialize
 from plantkb.terms import (
     OWL_CLASS,
     OWL_DATATYPE_PROPERTY,
@@ -26,6 +26,7 @@ from plantkb.terms import (
     Iri,
     Literal,
     Triple,
+    TriplePattern,
 )
 
 PLANT = "http://plantkb.example/arabidopsis#"
@@ -157,31 +158,24 @@ def test_best_label_is_deterministic():
 
 def test_class_tree_shape_on_fixture():
     tree = class_tree(fixture_graph("arabidopsis"))
-    assert tree.root == OWL_THING
-    assert set(tree.children_of(OWL_THING)) == {
+    assert tree.root == OWL_THING and OWL_THING in tree.nodes()
+    assert tree.children[OWL_THING] == (
+        plant("BiochemicalProcess"),
         plant("BiologicalDevelopmentalStage"),
         plant("BiologicalProcess"),
-        plant("BiochemicalProcess"),
         plant("BiologicalProperty"),
-    }
-    assert set(tree.children_of(plant("BiologicalDevelopmentalStage"))) == {
+    )
+    assert tree.children[plant("BiologicalDevelopmentalStage")] == (
         plant("Germination"), plant("LifeSpan"), plant("Seed"), plant("Seedling"),
-    }
+    )
+    assert plant("Seed") not in tree.children  # a leaf has no entry
     assert len(tree.nodes()) == 18
-    assert plant("Seed") in tree
-    assert Iri(EX + "Nope") not in tree
+    assert sum(map(len, tree.children.values())) == 17  # one parent link per class
+    assert plant("Seed") in tree.nodes()
+    assert Iri(EX + "Nope") not in tree.nodes()
 
 
-def test_class_tree_preorder_starts_at_root():
-    tree = class_tree(fixture_graph("arabidopsis"))
-    walk = list(tree.preorder())
-    assert walk[0] == (OWL_THING, 0)
-    assert len(walk) == 18
-    depths = dict(walk)
-    assert depths[plant("Seed")] == 2
-
-
-def test_class_tree_preorder_visits_children_in_order_once_per_edge():
+def test_class_tree_lists_a_multi_parent_class_under_each_parent():
     a, b, c, d = (Iri(EX + n) for n in "ABCD")
     tree = class_tree(build(
         *(Triple(x, RDF_TYPE, OWL_CLASS) for x in (a, b, c, d)),
@@ -189,26 +183,25 @@ def test_class_tree_preorder_visits_children_in_order_once_per_edge():
         Triple(c, RDFS_SUBCLASSOF, b),
         Triple(d, RDFS_SUBCLASSOF, c),
     ))
-    assert list(tree.preorder()) == [
-        (OWL_THING, 0), (a, 1), (c, 2), (d, 3), (b, 1), (c, 2), (d, 3),
-    ]
+    assert tree.children == {OWL_THING: (a, b), a: (c,), b: (c,), c: (d,)}
+    assert tree.nodes() == [a, b, c, d, OWL_THING]
 
 
-def test_class_tree_preorder_walks_a_deep_chain():
+def test_class_tree_holds_a_deep_chain():
     # deeper than the default recursion limit of 1,000 frames
     chain = [Iri(f"{EX}C{i:04d}") for i in range(3000)]
     g = build(*(Triple(c, RDF_TYPE, OWL_CLASS) for c in chain))
     for sub, sup in zip(chain[1:], chain):
         g.insert(Triple(sub, RDFS_SUBCLASSOF, sup))
     tree = class_tree(g)
-    assert list(tree.preorder()) == [(OWL_THING, 0)] + [(c, i + 1) for i, c in enumerate(chain)]
+    assert tree.children == {OWL_THING: (chain[0],), **{sup: (sub,) for sub, sup in zip(chain[1:], chain)}}
     assert to_dot(g).count(" -> ") == 3000
 
 
 def test_parentless_class_attaches_to_thing():
     c = Iri(EX + "C")
     tree = class_tree(build(Triple(c, RDF_TYPE, OWL_CLASS)))
-    assert tree.children_of(OWL_THING) == (c,)
+    assert tree.children == {OWL_THING: (c,)}
 
 
 def test_undeclared_parent_is_not_a_tree_node():
@@ -217,9 +210,9 @@ def test_undeclared_parent_is_not_a_tree_node():
         Triple(c, RDF_TYPE, OWL_CLASS),
         Triple(c, RDFS_SUBCLASSOF, ghost),
     ))
-    assert ghost not in tree
+    assert ghost not in tree.nodes()
     # with no declared parent the class falls back to the root
-    assert tree.children_of(OWL_THING) == (c,)
+    assert tree.children == {OWL_THING: (c,)}
 
 
 def test_class_tree_rejects_cycles():
@@ -252,30 +245,16 @@ def test_class_tree_reports_the_first_cycle_in_sorted_order():
     assert exc.value.members == [a, b]
 
 
-def test_instances_of_direct_vs_inferred():
-    c, d, x = Iri(EX + "C"), Iri(EX + "D"), Iri(EX + "x")
-    g = build(
-        Triple(c, RDF_TYPE, OWL_CLASS),
-        Triple(d, RDF_TYPE, OWL_CLASS),
-        Triple(c, RDFS_SUBCLASSOF, d),
-        Triple(x, RDF_TYPE, c),
-    )
-    before = len(g)
-    assert instances_of(g, d) == set()
-    assert instances_of(g, d, mode="inferred") == {x}
-    assert instances_of(g, c, mode="direct") == {x}
-    assert len(g) == before  # inference ran on a working copy
-    with pytest.raises(ValueError):
-        instances_of(g, c, mode="both")
-
-
-def test_instances_of_on_fixture():
+def test_fixture_stages_are_inferred_members_of_developmental_stage():
     g = fixture_graph("arabidopsis")
-    bds = plant("BiologicalDevelopmentalStage")
-    assert instances_of(g, bds) == set()
-    assert instances_of(g, bds, mode="inferred") == {
+    members = TriplePattern(None, RDF_TYPE, plant("BiologicalDevelopmentalStage"))
+    assert g.match(members) == []
+    working = g.copy()
+    materialize(working)
+    assert {t.subject for t in working.match(members)} == {
         plant("seedCol0"), plant("germinationCol0"), plant("sampleCol0"), plant("lifeCycleCol0"),
     }
+    assert g.match(members) == []  # inference ran on the copy
 
 
 def test_dot_classes_well_formed_and_counted():

@@ -123,13 +123,6 @@ def test_pattern_variables_order_and_dedup():
     assert TriplePattern(Iri(EX + "s"), None, None).variables() == []
 
 
-def test_pattern_is_concrete():
-    s = Iri(EX + "s")
-    assert TriplePattern(s, s, Literal("1")).is_concrete()
-    assert not TriplePattern(s, s, None).is_concrete()
-    assert not TriplePattern(s, s, Var("o")).is_concrete()
-
-
 def test_term_sort_key_total_order():
     terms = [
         Iri(EX + "b"),

@@ -53,14 +53,14 @@ def test_basic_statement_forms():
 def test_string_escapes_round_trip_through_parser():
     doc = r'<http://e.test/s> <http://e.test/p> "a\"b\\c\nd\te" .'
     g = parse_turtle(doc).graph
-    (tr,) = g.triples()
+    (tr,) = g
     assert tr.object == Literal('a"b\\c\nd\te')
 
 
 def test_unicode_escapes_in_iri_and_string():
     doc = '<http://e.test/s\\u00e9> <http://e.test/p> "sn\\u00f6" .'
     g = parse_turtle(doc).graph
-    (tr,) = g.triples()
+    (tr,) = g
     assert tr.subject == Iri("http://e.test/sé")
     assert tr.object == Literal("snö")
 
@@ -72,7 +72,7 @@ def test_datatyped_literal_and_sparql_style_prefix():
     ex:s ex:p "7"^^xsd:integer .
     """
     g = parse_turtle(doc).graph
-    (tr,) = g.triples()
+    (tr,) = g
     assert tr.object == Literal("7", XSD_INTEGER)
 
 
@@ -82,7 +82,7 @@ def test_base_resolution():
     <leaf> <p> <../up> .
     """
     g = parse_turtle(doc).graph
-    (tr,) = g.triples()
+    (tr,) = g
     assert tr.subject == Iri("http://example.test/dir/leaf")
     assert tr.predicate == Iri("http://example.test/dir/p")
     assert tr.object == Iri("http://example.test/up")
@@ -119,7 +119,7 @@ RFC_3986_EXAMPLES = [
 @pytest.mark.parametrize("ref, target", RFC_3986_EXAMPLES)
 def test_relative_references_resolve_as_rfc_3986_examples(ref, target):
     g = parse_turtle(f"<{ref}> <http://e.test/p> <http://e.test/o> .", base="http://a/b/c/d;p?q").graph
-    (tr,) = g.triples()
+    (tr,) = g
     assert tr.subject == Iri(target)
 
 
@@ -132,13 +132,13 @@ def test_relative_references_resolve_as_rfc_3986_examples(ref, target):
 def test_relative_references_resolve_against_a_base_of_any_scheme(base, ref, target):
     # RFC 3986 §5.2 does not depend on the scheme
     g = parse_turtle(f"<{ref}> <http://e.test/p> <http://e.test/o> .", base=base).graph
-    (tr,) = g.triples()
+    (tr,) = g
     assert tr.subject == Iri(target)
 
 
 def test_iris_resolved_against_a_urn_base_round_trip():
     out = parse_turtle("@base <urn:ex:a/b> . <c> <urn:ex:p> <../d> .")
-    assert set(out.graph.triples()) == {Triple(Iri("urn:ex:a/c"), Iri("urn:ex:p"), Iri("urn:/d"))}
+    assert set(out.graph) == {Triple(Iri("urn:ex:a/c"), Iri("urn:ex:p"), Iri("urn:/d"))}
     assert parse_turtle(serialize_turtle(out.graph, out.prefixes)).graph == out.graph
 
 
@@ -156,7 +156,7 @@ def test_unknown_prefix_reports_position():
 def test_labeled_blank_nodes_keep_their_labels():
     doc = "_:alice <http://e.test/knows> _:bob ."
     g = parse_turtle(doc).graph
-    (tr,) = g.triples()
+    (tr,) = g
     assert tr.subject == BlankNode("alice") and tr.object == BlankNode("bob")
 
 
@@ -167,7 +167,7 @@ def test_anonymous_blank_nodes_skip_used_labels():
     """
     g = parse_turtle(doc).graph
     # the [] node must not collide with the explicit _:b1
-    anon = [tr.object for tr in g.triples() if tr.predicate == Iri(EX + "p")]
+    anon = [tr.object for tr in g if tr.predicate == Iri(EX + "p")]
     assert anon == [BlankNode("b2")]
     assert Triple(BlankNode("b2"), Iri(EX + "q"), Iri(EX + "o")) in g
 
@@ -547,7 +547,7 @@ def list_documents():
 def test_blank_node_property_lists_state_the_expected_triples():
     h = hashlib.sha256()
     for text, triples in list_documents():
-        assert set(parse_turtle(text).graph.triples()) == triples, text
+        assert set(parse_turtle(text).graph) == triples, text
         h.update(parse_digest(text).encode())
     assert h.hexdigest() == LIST_DOCUMENTS_DIGEST
 
