@@ -4,8 +4,10 @@ Routes:
     GET/POST /sparql   query via ?query=, application/sparql-query body, or
                        application/x-www-form-urlencoded body; responds with
                        SPARQL JSON results (or CSV when Accept prefers text/csv);
-                       no query, or more than one, gets 400 (SPARQL 1.1
-                       Protocol, section 2.1)
+                       an Accept naming only types it cannot produce (TSV,
+                       XML) gets JSON with 200, not 406 (RFC 9110 §12.5.1
+                       allows either); no query, or more than one, gets 400
+                       (SPARQL 1.1 Protocol, section 2.1)
     GET /health        200 "ok"
     GET /stats         {"triples": n, "classes": n, "properties": n, "individuals": n}
 

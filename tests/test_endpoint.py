@@ -249,6 +249,17 @@ def test_accept_header_negotiates_csv(server):
     assert headers["Content-Type"].startswith("text/csv")
 
 
+def test_accept_naming_only_unproducible_types_gets_json(server):
+    # RFC 9110 §12.5.1: a server may answer with a type the Accept header does
+    # not name rather than 406; the endpoint sends its default, SPARQL JSON
+    for accept in ("text/tab-separated-values", "application/sparql-results+xml",
+                   "text/tab-separated-values, application/sparql-results+xml;q=0.5"):
+        status, headers, body = request(server, "GET", "/sparql?query=" + quote(SUBCLASS_QUERY),
+                                        headers={"Accept": accept})
+        assert (status, headers["Content-Type"]) == (200, "application/sparql-results+json"), accept
+        assert body == expected_json_body(SUBCLASS_QUERY)
+
+
 def test_missing_query_is_rejected(server):
     status, _, body = request(server, "GET", "/sparql")
     assert (status, body) == (400, b"missing query parameter")
