@@ -174,6 +174,19 @@ def test_class_tree_shape_on_fixture():
     assert Iri(EX + "Nope") not in tree.nodes()
 
 
+def test_class_tree_preorder_starts_at_root():
+    tree = class_tree(fixture_graph("arabidopsis"))
+    walk, stack = [], [(tree.root, 0)]
+    while stack:
+        node, depth = stack.pop()
+        walk.append((node, depth))
+        stack.extend((kid, depth + 1) for kid in reversed(tree.children.get(node, ())))
+    assert walk[0] == (OWL_THING, 0)
+    assert len(walk) == 18
+    depths = dict(walk)
+    assert depths[plant("Seed")] == 2
+
+
 def test_class_tree_lists_a_multi_parent_class_under_each_parent():
     a, b, c, d = (Iri(EX + n) for n in "ABCD")
     tree = class_tree(build(
