@@ -16,12 +16,11 @@ in :mod:`plantkb.lexer`, and shared with the SPARQL parser.
 
 The reader makes one pass over the lexer's token stream and works on term
 ids.  Each distinct token (a prefixed name, an IRI reference, a blank node
-label, a literal with its tag or datatype) is built into a term and checked
-once, where it first occurs; a repeat of the token reuses the term's id.
-Ids are assigned in emission order: a term gets its id at the first emitted
-triple that uses it, in subject, predicate, object order, with the triples
-inside a ``[ ... ]`` list emitted before the one that uses its node, so
-ids come out as inserting the triples one by one would give them.
+label, a literal with its tag or datatype) is built into a term, checked and
+interned once, where it first occurs; a repeat of the token reuses the
+term's id.  So ids count up in the order terms first occur in the text: a
+term's id is the order of the first token that spells it, and an anonymous
+node's the order of its ``[``.
 Rebinding a prefix or the base forgets the tokens seen so far, since it
 changes what they mean.  The document's id-triples are added to the graph
 as one batch through :meth:`Graph.add_ids`.  An anonymous node gets the
@@ -96,17 +95,6 @@ _LIST_ENDS = frozenset({"dot", "rbracket", "eof"})
 _DIRECTIVES = {"prefix_directive": "@prefix", "base_directive": "@base", "sparql_prefix": None, "sparql_base": None}
 
 
-class _Pending:
-    """A term built and checked at its token but not yet interned: it gets
-    its id at the first emitted triple that uses it."""
-
-    __slots__ = ("term", "memo", "key", "id")
-
-    def __init__(self, term: Term, memo: dict | None = None, key: object = None):
-        self.term, self.memo, self.key = term, memo, key
-        self.id: int | None = None
-
-
 class _Parser(TokenParser):
     def __init__(self, text: str, base: Iri | None):
         self.graph = Graph()
@@ -114,9 +102,9 @@ class _Parser(TokenParser):
         self._labels: set[str] = set()  # every blank label read so far
         self._used_labels: set[str] | None = None  # the document's blank labels, once a '[' needs them
         self._anon_counter = 0
-        # token kind -> token key -> the term's id, or its _Pending until the
-        # term is interned.  A string's key is its text, with its language
-        # tag ("langtag") or its datatype token ("dt") when it has one.
+        # token kind -> token key -> the term's id.  A string's key is its
+        # text, with its language tag ("langtag") or its datatype token
+        # ("dt") when it has one.
         self._memo: dict[str, dict] = {kind: {} for kind in (*_TERM_KINDS[_OBJECT], "a", "string", "langtag", "dt")}
         self._batch: list[tuple[int, int, int]] = []  # the document's id-triples
 
@@ -151,17 +139,17 @@ class _Parser(TokenParser):
         """One statement, through its final '.'.
 
         Its triples are emitted in document order, the triples inside a
-        ``[ ... ]`` list before the one that uses the list's node, and each
-        term is interned at the first emitted triple that uses it, in
-        subject, predicate, object order.  ``tok`` is the token being read;
-        the loop pulls the next one from the stream itself.
+        ``[ ... ]`` list before the one that uses the list's node.  Each term
+        is interned where its first token is read, an anonymous node at its
+        ``[``.  ``tok`` is the token being read; the loop pulls the next one
+        from the stream itself.
         """
-        memo, intern, emit, build = self._memo, self._intern, self._batch.append, self._build
+        memo, emit, build = self._memo, self._batch.append, self._build
         # per open '[': the subject and predicate around it and its token; a
         # list that is the statement's subject has no predicate around it
-        frames: list[tuple[object, object, Token]] = []
-        subject: object = None
-        predicate: object = None
+        frames: list[tuple[int, int | None, Token]] = []
+        subject = 0
+        predicate: int | None = None
         next, tok, state = self._next, self.tok, _SUBJECT
         while True:
             kind, value, _ = tok
@@ -192,7 +180,7 @@ class _Parser(TokenParser):
                 obj, subject, predicate = subject, outer_subject, outer_predicate
             else:
                 if kind == "lbracket" and state != _VERB:
-                    term = _Pending(self._fresh_bnode())
+                    term = self.graph._intern(self._fresh_bnode())
                     next = self._next  # _fresh_bnode may have moved the stream to a buffer
                     open_tok, tok = tok, next()
                     if tok[0] != "rbracket":
@@ -213,7 +201,7 @@ class _Parser(TokenParser):
                             kind, value, tail, after = "dt", (value, dt[0], dt[1]), (after, dt), None
                     term = memo[kind].get(value)
                     if term is None:
-                        term = build(memo[kind], value, tok, *tail)
+                        term = memo[kind][value] = build(tok, *tail)
                     tok = next() if after is None else after
                 if state == _VERB:
                     predicate, state = term, _OBJECT
@@ -222,12 +210,6 @@ class _Parser(TokenParser):
                     subject, state = term, _VERB
                     continue
                 obj = term
-            if type(subject) is not int:
-                subject = intern(subject)
-            if type(predicate) is not int:
-                predicate = intern(predicate)
-            if type(obj) is not int:
-                obj = intern(obj)
             emit((subject, predicate, obj))  # type: ignore[arg-type]
             state = _NEXT
 
@@ -235,11 +217,10 @@ class _Parser(TokenParser):
         self.tok = tok
         self._expect("dot", "'.' at end of statement")
 
-    def _build(self, memo: dict, key: object, tok: Token,
-               after: Token | None = None, dt: Token | None = None) -> _Pending:
-        """The term that ``tok`` spells (a string with its language tag or
-        ``^^`` token ``after`` and datatype token ``dt``), built and checked
-        there, and kept under ``key`` until it is interned."""
+    def _build(self, tok: Token, after: Token | None = None, dt: Token | None = None) -> int:
+        """The id of the term that ``tok`` spells (a string with its language
+        tag or ``^^`` token ``after`` and datatype token ``dt``), built,
+        checked and interned there."""
         kind, value, _ = tok
         if kind == "a":
             term: Term = RDF_TYPE
@@ -250,16 +231,7 @@ class _Parser(TokenParser):
             term = self._iri(tok)
         else:
             term = self._make_literal(tok, after, None if dt is None else self._iri(dt))
-        pending = memo[key] = _Pending(term, memo, key)
-        return pending
-
-    def _intern(self, pending: _Pending) -> int:
-        """The term's id, interned now if no emitted triple used it yet."""
-        if pending.id is None:
-            pending.id = self.graph._intern(pending.term)
-            if pending.memo is not None:
-                pending.memo[pending.key] = pending.id
-        return pending.id
+        return self.graph._intern(term)
 
     def _fresh_bnode(self) -> BlankNode:
         """A blank node whose label no ``_:label`` in the document uses.
