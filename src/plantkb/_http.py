@@ -27,7 +27,7 @@ from urllib.parse import parse_qs, urlsplit
 # time (perfbench/spans.py) is the one called
 from . import sparql
 from .endpoint import LINGER_S, MAX_BODY_BYTES, REQUEST_TIMEOUT_S
-from .errors import ParseError, UnknownPrefixError
+from .errors import ParseError
 from .graph import Graph
 
 log = logging.getLogger("plantkb.endpoint")
@@ -231,7 +231,7 @@ class _Handler(BaseHTTPRequestHandler):
         """
         try:
             results = sparql.evaluate(sparql.parse_query(query), self.dataset)
-        except (ParseError, UnknownPrefixError) as exc:
+        except ParseError as exc:
             return 400, str(exc).encode("utf-8"), "text/plain; charset=utf-8"
         return 200, sparql.serialize_results(results, fmt).encode("utf-8"), _CONTENT_TYPES[fmt]
 

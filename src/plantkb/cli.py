@@ -17,7 +17,7 @@ import re
 import sys
 
 from .endpoint import DatasetConfig, resolve_bind, serve
-from .errors import ParseError, SubclassCycleError, UnknownPrefixError
+from .errors import ParseError, SubclassCycleError
 from .graph import Graph
 from .lint import (
     ALL_CODES,
@@ -190,7 +190,7 @@ def main(argv: list[str] | None = None) -> int:
         gc.disable()
     try:
         return args.func(args)
-    except (OSError, ParseError, UnknownPrefixError) as exc:
+    except (OSError, ParseError) as exc:
         return _fail(str(exc), 2)
     except UnicodeDecodeError as exc:
         return _fail(f"input is not UTF-8 text: {exc.reason} at byte {exc.start}", 2)

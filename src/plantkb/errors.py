@@ -48,15 +48,15 @@ class RelativeIriError(ParseError):
         super().__init__(f"relative IRI {iri!r} without a base", line, column, iri)
 
 
-class UnknownPrefixError(PlantKbError):
+class UnknownPrefixError(ParseError):
     """A prefixed name uses a prefix label with no declared namespace."""
 
-    def __init__(self, prefix: str, line: int | None = None, column: int | None = None):
+    def __init__(self, prefix: str, line: int, column: int):
         self.prefix = prefix
-        self.line = line
-        self.column = column
-        where = f" at line {line}, column {column}" if line is not None else ""
-        super().__init__(f"unknown prefix {prefix!r}{where}")
+        super().__init__(f"unknown prefix {prefix!r}", line, column)
+
+    def __str__(self) -> str:
+        return f"{self.message} at line {self.line}, column {self.column}"
 
 
 class SubclassCycleError(PlantKbError):

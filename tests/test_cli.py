@@ -62,6 +62,13 @@ def test_validate_bad_turtle(tmp_path, capsys):
     assert "line " in capsys.readouterr().err
 
 
+def test_validate_unknown_prefix(tmp_path, capsys):
+    bad = tmp_path / "bad.ttl"
+    bad.write_text("@prefix ex: <http://e.test/> .\nex:a zz:b ex:c .\n")
+    assert main(["validate", str(bad)]) == 2
+    assert capsys.readouterr().err == "error: unknown prefix 'zz' at line 2, column 6\n"
+
+
 def test_validate_no_labels_check_silences_md001(capsys):
     path = str(FIXTURE_DIR / "defects" / "md001.ttl")
     assert main(["validate", path, "--no-labels-check"]) == 0

@@ -151,6 +151,7 @@ def test_unknown_prefix_reports_position():
     with pytest.raises(UnknownPrefixError) as exc:
         parse_turtle("zz:s <http://e.test/p> zz:o .")
     assert exc.value.prefix == "zz"
+    assert isinstance(exc.value, ParseError) and (exc.value.line, exc.value.column) == (1, 1)
 
 
 def test_labeled_blank_nodes_keep_their_labels():
