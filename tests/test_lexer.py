@@ -146,6 +146,8 @@ SPARQL = [
     ('SELECT ?x WHERE { ?x ?p ?o } OFFSET 1 OFFSET 2', (None, None)),
     ('SELECT ?s WHERE { ?s ?p ?o FILTER(?o<5) }', (None, None)),
     ('PREFIX ex: <http://e/> SELECT ?s WHERE { ?s ?p ?o FILTER(?o<ex:b) }', (None, None)),
+    ('SELECT ?s WHERE { ?s ?p ?o } WHERE', ('ParseError', "line 1, column 30: unexpected keyword WHERE (near 'WHERE')")),
+    ('SELECT ?s WHERE { ?s ?p ?o FILTER ?s }', ('ParseError', "line 1, column 35: expected '(' after FILTER (near '?s')")),
 ]
 
 CHANGED = {

@@ -110,6 +110,20 @@ def test_range_inference_requires_declared_class_and_skips_literals():
         assert not isinstance(t.subject, Literal)
 
 
+def test_range_inference_reaches_a_class_declared_in_a_later_sweep():
+    # C is declared a class only by type inheritance, in the first sweep, so
+    # the second sweep's rule 4 types y through the range asserted before it
+    m, c, p, x, y = iri("M"), iri("C"), iri("p"), iri("x"), iri("y")
+    triples = [Triple(m, RDFS_SUBCLASSOF, OWL_CLASS), Triple(c, RDF_TYPE, m),
+               Triple(p, RDFS_RANGE, c), Triple(x, p, y)]
+    g = build(*triples)
+    res = materialize(g)
+    assert res.provenance[Triple(c, RDF_TYPE, OWL_CLASS)] == RuleId.TYPE_INHERIT
+    assert res.provenance[Triple(y, RDF_TYPE, c)] == RuleId.RANGE_INFER
+    assert res.iterations == 4
+    assert set(g) == oracles.closure(triples)
+
+
 def test_subproperty_inheritance():
     p, q, x, y = iri("p"), iri("q"), iri("x"), iri("y")
     extra = added_by(build(

@@ -222,6 +222,19 @@ def test_order_by_groups_numbers_before_text_before_iris():
     assert [r["v"] for r in rows] == list(reversed(values))
 
 
+def test_order_by_puts_iris_before_blank_nodes():
+    p = iri("p")
+    g = build(
+        Triple(iri("s1"), p, BlankNode("b")),
+        Triple(iri("s2"), p, iri("z")),
+        Triple(iri("s3"), p, BlankNode("a")),
+        Triple(iri("s4"), p, Literal("text")),
+    )
+    query = parse_query(f"SELECT ?v WHERE {{ ?s <{EX}p> ?v }} ORDER BY ?v")
+    assert serialize_results(evaluate(query, g), "csv") == (
+        "v\r\ntext\r\nhttp://example.test/q#z\r\n_:a\r\n_:b\r\n")
+
+
 def test_limit_is_a_prefix_of_the_full_result():
     g = fixture_graph("arabidopsis")
     base = "PREFIX owl: <http://www.w3.org/2002/07/owl#> SELECT ?c WHERE { ?c a owl:Class } ORDER BY ?c"

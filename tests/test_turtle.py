@@ -128,6 +128,10 @@ def test_relative_references_resolve_as_rfc_3986_examples(ref, target):
     ("urn:ex:a/b", "../d", "urn:/d"),
     ("foo://h/a/b", "../d", "foo://h/d"),
     ("tag:example.org,2020:a/b", "c", "tag:example.org,2020:a/c"),
+    # a base path with no '/' merges to the reference's path alone (§5.2.3);
+    # §5.2.4 then drops a leading "../" (rule A) or a lone "." (rule D)
+    ("urn:a", "../b", "urn:b"),
+    ("urn:a", ".", "urn:"),
 ])
 def test_relative_references_resolve_against_a_base_of_any_scheme(base, ref, target):
     # RFC 3986 §5.2 does not depend on the scheme
