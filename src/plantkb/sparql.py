@@ -13,16 +13,17 @@ plan is fixed before the first row: patterns are joined greedily, fewest
 unbound variables first, then smallest index count (a count of the
 pattern's constants alone, so it never depends on the rows), then query
 order; each variable gets a row slot and each constant is looked up once.  A
-row is a tuple of ids, and each step is a function from rows to rows that
-reads one id range of the store per incoming row.  Each FILTER runs at the
+row is a tuple of ids, and each step is a generator that reads one id range
+of the store per row it pulls from the step before.  Each FILTER runs at the
 step that first binds its variable, memoized per term id.  A comparison
 applies its operator from one table, ``_COMPARE`` (SPARQL 1.1 section 17.3):
 numbers compare by value; otherwise ``=`` and ``!=`` compare terms and an
-ordering is false.  Ordering sorts the rows stably under a total term
-order (numeric literals by value, then other literals, then IRIs, then blank
-nodes), with one key per distinct id; projection, DISTINCT (on the projected
-ids) and OFFSET/LIMIT follow in that order, and only the rows that survive
-are decoded into terms.
+ordering is false.  ORDER BY collects every row and sorts them stably under
+a total term order (numeric literals by value, then other literals, then
+IRIs, then blank nodes), with one key per distinct id.  Projection, DISTINCT
+(first occurrences of the projected ids) and OFFSET/LIMIT follow in that
+order and stream, so rows are pulled only as far as the answer needs, and
+only the rows that survive are decoded into terms.
 
 Result serialization: W3C SPARQL 1.1 JSON results and RFC-4180 CSV.
 """
@@ -32,8 +33,9 @@ from __future__ import annotations
 import csv
 import io
 import re
-from collections.abc import Callable
+from collections.abc import Callable, Iterable, Iterator
 from decimal import Decimal
+from itertools import islice
 from json.encoder import encode_basestring_ascii
 from operator import eq, ge, gt, itemgetter, le, lt, ne
 
@@ -275,7 +277,7 @@ def _order_key(term: Term):
     if isinstance(term, Literal):
         n = term.numeric_value()
         if n is not None:
-            # Decimal cannot be tuple-compared against int/float reliably; normalize
+            # a Decimal keys as a float, so integers past float range tie (docs/semantics.md)
             return (0, float(n) if isinstance(n, Decimal) else n, "")
         return (1, term.lexical, term.datatype.value + "\x00" + (term.language or ""))
     if isinstance(term, Iri):
@@ -309,7 +311,7 @@ def _filter_check(f: FilterExpr, position: int, term: Callable[[int], Term]):
 
 def _step(match_ids: Callable, const: list[int | None], source: list[int],
           extend: Callable[[tuple], tuple], checks: list[Callable[[tuple], bool]]):
-    """One pattern of the plan, as a function from rows to rows: each row is
+    """One pattern of the plan, as a generator of rows from rows: each row is
     extended by every id-triple that agrees with the pattern's constants
     (``const``, None where unbound) and the row's earlier bindings (``source``,
     the row slot per position, else -1) and passes every check (repeated
@@ -317,8 +319,7 @@ def _step(match_ids: Callable, const: list[int | None], source: list[int],
     cs, cp, co = const
     rs, rp, ro = source
 
-    def step(rows: list[tuple]) -> list[tuple]:
-        out: list[tuple] = []
+    def step(rows: Iterable[tuple]) -> Iterator[tuple]:
         for row in rows:
             found = match_ids(row[rs] if rs >= 0 else cs,
                               row[rp] if rp >= 0 else cp,
@@ -328,8 +329,7 @@ def _step(match_ids: Callable, const: list[int | None], source: list[int],
                     if not check(t):
                         break
                 else:
-                    out.append(row + extend(t))
-        return out
+                    yield row + extend(t)
 
     return step
 
@@ -389,25 +389,24 @@ def evaluate(query: Query, graph: Graph) -> ResultSet:
         return ResultSet(vars=out_vars, rows=[])
     steps, slots = plan
 
-    rows: list[tuple] = [()]
+    rows: Iterable[tuple] = [()]
     for step in steps:
         rows = step(rows)
-        if not rows:
-            break
 
     term = graph.term
     if query.order_by is not None and query.order_by[0] in slots:
         var, direction = query.order_by
         slot = slots[var]
+        rows = list(rows)
         keys = {tid: _order_key(term(tid)) for tid in {row[slot] for row in rows}}
         rows.sort(key=lambda r: keys[r[slot]], reverse=(direction == "desc"))
 
     names = [name for name in out_vars if name in slots]
-    rows = list(map(_take([slots[name] for name in names]), rows))
-    if query.distinct:
-        rows = list(dict.fromkeys(rows))
-
-    rows = rows[query.offset or 0:][:query.limit]
+    rows = map(_take([slots[name] for name in names]), rows)
+    if query.distinct:  # first occurrences, in order
+        seen: set[tuple] = set()
+        rows = (row for row in rows if not (row in seen or seen.add(row)))
+    rows = islice(islice(rows, query.offset or 0, None), query.limit)
     return ResultSet(vars=out_vars, rows=[
         {name: term(tid) for name, tid in zip(names, row)} for row in rows
     ])

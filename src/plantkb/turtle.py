@@ -22,11 +22,11 @@ term's id.  So ids count up in the order terms first occur in the text: a
 term's id is the order of the first token that spells it, and an anonymous
 node's the order of its ``[``.
 Rebinding a prefix or the base forgets the tokens seen so far, since it
-changes what they mean.  The document's id-triples are added to the graph
-as one batch through :meth:`Graph.add_ids`.  An anonymous node gets the
-first label ``b1``, ``b2``, ... that no ``_:label`` in the document uses,
-so the first ``[`` that needs one scans the rest of the text into a buffer,
-which the reader then reads from.
+changes what they mean.  No token list is built.  An anonymous node is
+interned at its ``[`` under that token as a stand-in key; when the document
+ends, each gets, in ``[`` order, the first label ``b1``, ``b2``, ... that no
+``_:label`` in the document uses.  The document's id-triples are then added
+to the graph as one batch through :meth:`Graph.add_ids`.
 
 The writer is deterministic: given equal graphs and prefix maps it emits
 byte-identical documents, and any document it emits parses back to an equal
@@ -36,7 +36,7 @@ graph.
 from __future__ import annotations
 
 import re
-from itertools import groupby
+from itertools import count, groupby
 from operator import itemgetter
 
 from ._record import Record
@@ -100,8 +100,7 @@ class _Parser(TokenParser):
         self.graph = Graph()
         super().__init__(_LEXER, text, self.graph.prefix_map, base)
         self._labels: set[str] = set()  # every blank label read so far
-        self._used_labels: set[str] | None = None  # the document's blank labels, once a '[' needs them
-        self._anon_counter = 0
+        self._anonymous: list[int] = []  # the id of each '[' node, in '[' order
         # token kind -> token key -> the term's id.  A string's key is its
         # text, with its language tag ("langtag") or its datatype token
         # ("dt") when it has one.
@@ -117,6 +116,7 @@ class _Parser(TokenParser):
                 self._directive(kind)
             else:
                 self._triples_statement()
+        self._label_anonymous_nodes()
         self.graph.add_ids(self._batch)
         return ParseOutcome(graph=self.graph, base_iri=self.base)
 
@@ -141,8 +141,8 @@ class _Parser(TokenParser):
         Its triples are emitted in document order, the triples inside a
         ``[ ... ]`` list before the one that uses the list's node.  Each term
         is interned where its first token is read, an anonymous node at its
-        ``[``.  ``tok`` is the token being read; the loop pulls the next one
-        from the stream itself.
+        ``[`` (it is labelled when the document ends).  ``tok`` is the token
+        being read; the loop pulls the next one from the stream itself.
         """
         memo, emit, build = self._memo, self._batch.append, self._build
         # per open '[': the subject and predicate around it and its token; a
@@ -180,8 +180,8 @@ class _Parser(TokenParser):
                 obj, subject, predicate = subject, outer_subject, outer_predicate
             else:
                 if kind == "lbracket" and state != _VERB:
-                    term = self.graph._intern(self._fresh_bnode())
-                    next = self._next  # _fresh_bnode may have moved the stream to a buffer
+                    term = self.graph._intern(tok)
+                    self._anonymous.append(term)
                     open_tok, tok = tok, next()
                     if tok[0] != "rbracket":
                         frames.append((subject, predicate, open_tok))
@@ -233,22 +233,15 @@ class _Parser(TokenParser):
             term = self._make_literal(tok, after, None if dt is None else self._iri(dt))
         return self.graph._intern(term)
 
-    def _fresh_bnode(self) -> BlankNode:
-        """A blank node whose label no ``_:label`` in the document uses.
-
-        The first call scans the rest of the text into a buffer, which the
-        parser then reads, to find the labels still to come.
-        """
-        if self._used_labels is None:
-            rest = list(self._stream)
-            self._next = iter(rest).__next__
-            self._used_labels = self._labels | {value for kind, value, _ in rest if kind == "blank"}  # type: ignore[misc]
-        while True:
-            self._anon_counter += 1
-            label = f"b{self._anon_counter}"
-            if label not in self._used_labels:
-                self._used_labels.add(label)
-                return BlankNode(label)
+    def _label_anonymous_nodes(self) -> None:
+        """Give each ``[`` node, in ``[`` order, the first label ``b1``,
+        ``b2``, ... that no ``_:label`` in the document uses."""
+        terms, ids = self.graph._id_to_term, self.graph._term_to_id
+        labels = (label for n in count(1) if (label := f"b{n}") not in self._labels)
+        for tid, label in zip(self._anonymous, labels):
+            del ids[terms[tid]]
+            terms[tid] = BlankNode(label)
+            ids[terms[tid]] = tid
 
 
 def parse_turtle(text: str, base: Iri | str | None = None) -> ParseOutcome:

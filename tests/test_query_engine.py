@@ -8,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from plantkb.fixtures import fixture_graph
 from plantkb.graph import Graph
+from plantkb.reasoner import materialize
 from plantkb.sparql import ResultSet, evaluate, parse_query, serialize_results
 from plantkb.terms import (
     RDF_LANG_STRING,
@@ -114,11 +116,8 @@ def test_row_order_of_500_chain_joins_is_pinned():
 # -- store reads ---------------------------------------------------------------
 
 
-def test_filter_runs_at_the_step_that_binds_its_variable(monkeypatch):
-    part, score = Iri(EX + "hasPart"), Iri(EX + "score")
-    triples = [Triple(Iri(f"{EX}n{i}"), score, Literal(str(i), XSD_INTEGER)) for i in range(30)]
-    triples += [Triple(Iri(f"{EX}w{i}"), part, Iri(f"{EX}n{i % 30}")) for i in range(60)]
-    g = build(triples)
+def _count_reads(monkeypatch) -> list:
+    """The arguments of every ``Graph.match_ids`` call from here on."""
     reads = []
     real = Graph.match_ids
 
@@ -127,6 +126,15 @@ def test_filter_runs_at_the_step_that_binds_its_variable(monkeypatch):
         return real(self, *args, **kwargs)
 
     monkeypatch.setattr(Graph, "match_ids", counting)
+    return reads
+
+
+def test_filter_runs_at_the_step_that_binds_its_variable(monkeypatch):
+    part, score = Iri(EX + "hasPart"), Iri(EX + "score")
+    triples = [Triple(Iri(f"{EX}n{i}"), score, Literal(str(i), XSD_INTEGER)) for i in range(30)]
+    triples += [Triple(Iri(f"{EX}w{i}"), part, Iri(f"{EX}n{i % 30}")) for i in range(60)]
+    g = build(triples)
+    reads = _count_reads(monkeypatch)
     rows = evaluate(parse_query(
         f"SELECT ?x ?s WHERE {{ ?x <{part.value}> ?y . ?y <{score.value}> ?s FILTER(?s > 20) }}"
     ), g).rows
@@ -134,6 +142,43 @@ def test_filter_runs_at_the_step_that_binds_its_variable(monkeypatch):
     # each of them reads the hasPart pattern once
     assert len(reads) == 1 + 9
     assert sorted(int(r["s"].lexical) for r in rows) == sorted([*range(21, 30)] * 2)
+
+
+def _served_arabidopsis() -> Graph:
+    """The snapshot ``serve --materialize`` serves for the arabidopsis fixture."""
+    g = fixture_graph("arabidopsis")
+    materialize(g)
+    return g.snapshot()
+
+
+def test_limit_stops_the_join_at_the_rows_it_needs(monkeypatch):
+    g = _served_arabidopsis()
+    assert len(g) == 133
+    reads = _count_reads(monkeypatch)
+    # the first row of each step's first read is enough: one read per step,
+    # where building every row reads 1 + 133 + 133 * 133 = 17,823 times
+    rows = evaluate(parse_query("SELECT * WHERE { ?a ?b ?c . ?d ?e ?f . ?g ?h ?i } LIMIT 1"), g).rows
+    assert len(rows) == 1 and len(reads) == 3
+    # rows 6-8 of the product lie in the second step's first read (133
+    # rows), where building every row reads 1 + 133 = 134 times
+    reads.clear()
+    rows = evaluate(parse_query("SELECT * WHERE { ?a ?b ?c . ?d ?e ?f } OFFSET 5 LIMIT 3"), g).rows
+    assert len(rows) == 3 and len(reads) == 2
+
+
+def test_limit_offset_and_distinct_slice_the_unlimited_rows():
+    g = _served_arabidopsis()
+    text = "SELECT {}?a ?f WHERE {{ ?a ?b ?c . ?c ?e ?f }}"
+    rows = evaluate(parse_query(text.format("")), g).rows
+    firsts = []
+    for row in rows:
+        if row not in firsts:
+            firsts.append(row)
+    assert (len(rows), len(firsts)) == (182, 136)
+    for modifiers, start, end in (("", 0, None), (" LIMIT 0", 0, 0), (" LIMIT 7", 0, 7), (" OFFSET 3", 3, None),
+                                  (" OFFSET 11 LIMIT 5", 11, 16), (" OFFSET 130 LIMIT 60", 130, 190)):
+        assert evaluate(parse_query(text.format("") + modifiers), g).rows == rows[start:end], modifiers
+        assert evaluate(parse_query(text.format("DISTINCT ") + modifiers), g).rows == firsts[start:end], modifiers
 
 
 # -- SPARQL JSON writer ----------------------------------------------------------

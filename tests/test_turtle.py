@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -183,6 +184,29 @@ def test_anonymous_blank_nodes_skip_labels_used_later_in_the_document():
     assert Triple(Iri(EX + "s"), Iri(EX + "p"), BlankNode("b2")) in g
     assert Triple(BlankNode("b2"), Iri(EX + "q"), Iri(EX + "o")) in g
     assert Triple(BlankNode("b1"), Iri(EX + "r"), Iri(EX + "t")) in g
+
+
+def test_an_anonymous_node_costs_no_buffered_copy_of_the_document():
+    # the same 5,000 statements, the first written once with '[ ... ]' and
+    # once with a labelled node; the reader keeps no copy of the tokens after
+    # a '[', so both parses peak alike
+    head = "@prefix ex: <http://example.test/t#> .\n"
+    rest = "".join(f'ex:s{i} ex:p{i % 7} ex:o{i % 50} , "v{i}" .\n' for i in range(1, 5000))
+    anonymous, labelled = (head + first + rest for first in (
+        "ex:s0 ex:p0 [ ex:q ex:o0 ] .\n", "ex:s0 ex:p0 _:b1 . _:b1 ex:q ex:o0 .\n"))
+
+    def traced_peak(text):
+        tracemalloc.start()
+        try:
+            graph = parse_turtle(text).graph
+            return tracemalloc.get_traced_memory()[1], graph
+        finally:
+            tracemalloc.stop()
+
+    peak, graph = traced_peak(anonymous)
+    labelled_peak, labelled_graph = traced_peak(labelled)
+    assert set(graph) == set(labelled_graph) and len(graph) == 2 * 5000
+    assert peak < 1.2 * labelled_peak
 
 
 def test_deeply_nested_blank_node_property_lists_parse():
