@@ -8,19 +8,21 @@ and with them ``socketserver``, ``http.client``, ``email`` and ``ssl``.
 :mod:`plantkb.endpoint` describes the routes and the rules every response
 follows.  :class:`AnswerCache` is the per-server cache of query answers that
 :func:`plantkb.endpoint.make_server` puts on the handler class beside the
-snapshot.
+snapshot.  :class:`PooledHTTPServer` is the server class
+:func:`plantkb.endpoint.make_server` builds.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import queue
 import socket
 import sys
 import threading
 import time
 from collections import OrderedDict
-from http.server import BaseHTTPRequestHandler
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlsplit
 
 # read at each request, so a wrapper put on plantkb.sparql's functions at any
@@ -109,6 +111,57 @@ class AnswerCache:
                 self.size -= self.entries.popitem(last=False)[1][1]
             self.entries[key] = (answer, cost)
             self.size += cost
+
+
+class PooledHTTPServer(ThreadingHTTPServer):
+    """Serves each accepted connection on a reused daemon thread, never on
+    a thread of its own.
+
+    ``process_request`` puts the connection on a queue of at most
+    ``queue_size``, waiting while it is full, and starts a worker
+    (``plantkb-worker-<n>``) when no worker is free and fewer than
+    ``threads`` exist.  ``server_close`` closes the connections still queued
+    unanswered and stops each worker once its connection ends.
+    """
+
+    def __init__(self, address: tuple[str, int], handler: type, threads: int, queue_size: int) -> None:
+        super().__init__(address, handler)
+        self._connections: queue.Queue = queue.Queue(queue_size)
+        self._pool_size = threads  # ThreadingMixIn names its own _threads
+        self._started = 0
+        self._spare = 0  # workers not serving a connection, less the connections queued for them
+        self._lock = threading.Lock()
+
+    def process_request(self, request, client_address) -> None:
+        with self._lock:
+            if self._spare <= 0 and self._started < self._pool_size:
+                self._started += 1
+                self._spare += 1
+                threading.Thread(target=self._work, name=f"plantkb-worker-{self._started}", daemon=True).start()
+            self._spare -= 1
+        self._connections.put((request, client_address))
+
+    def _work(self) -> None:
+        # the steps of socketserver.ThreadingMixIn.process_request_thread
+        while (item := self._connections.get()) is not None:
+            try:
+                self.finish_request(*item)
+            except Exception:
+                self.handle_error(*item)
+            finally:
+                self.shutdown_request(item[0])
+            with self._lock:
+                self._spare += 1
+        self._connections.put(None)  # pass the stop on to the next worker
+
+    def server_close(self) -> None:
+        super().server_close()
+        try:
+            while True:
+                if item := self._connections.get_nowait():
+                    self.shutdown_request(item[0])
+        except queue.Empty:
+            self._connections.put(None)
 
 
 class _Handler(BaseHTTPRequestHandler):

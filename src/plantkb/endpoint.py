@@ -67,6 +67,10 @@ DEFAULT_BIND = "127.0.0.1:3030"
 BIND_ENV_VAR = "PLANTKB_BIND"
 # a request body declared larger than this gets 413 and is never read
 MAX_BODY_BYTES = 1 << 20
+# the most worker threads a server serves connections on, and the most
+# accepted connections that wait for one (plantkb._http.PooledHTTPServer)
+SERVER_THREADS = 32
+ACCEPT_QUEUE = 64
 # memory one server's answer cache may take (plantkb._http.AnswerCache), so
 # the most a server fed only distinct queries grows by
 ANSWER_CACHE_BYTES = 2 << 20
@@ -115,17 +119,13 @@ def make_server(cfg: DatasetConfig) -> ThreadingHTTPServer:
 
     Parse and bind failures raise before any listener accepts traffic.
     """
-    from http.server import ThreadingHTTPServer
-
-    from ._http import AnswerCache, _Handler
+    from ._http import AnswerCache, PooledHTTPServer, _Handler
 
     snapshot, stats = load_dataset(cfg)
     handler = type("BoundHandler", (_Handler,), {"dataset": snapshot, "dataset_stats": stats,
                                                  "answer_cache": AnswerCache(ANSWER_CACHE_BYTES)})
     host, port = resolve_bind(cfg.bind_address)
-    server = ThreadingHTTPServer((host, port), handler)
-    server.daemon_threads = True
-    return server
+    return PooledHTTPServer((host, port), handler, SERVER_THREADS, ACCEPT_QUEUE)
 
 
 def serve(cfg: DatasetConfig) -> None:
