@@ -8,8 +8,7 @@ and with them ``socketserver``, ``http.client``, ``email`` and ``ssl``.
 :mod:`plantkb.endpoint` describes the routes and the rules every response
 follows.  :class:`AnswerCache` is the per-server cache of query answers that
 :func:`plantkb.endpoint.make_server` puts on the handler class beside the
-snapshot.  :class:`PooledHTTPServer` is the server class
-:func:`plantkb.endpoint.make_server` builds.
+snapshot, and :class:`PooledHTTPServer` the server class it builds.
 """
 
 from __future__ import annotations
@@ -114,14 +113,10 @@ class AnswerCache:
 
 
 class PooledHTTPServer(ThreadingHTTPServer):
-    """Serves each accepted connection on a reused daemon thread, never on
-    a thread of its own.
-
-    ``process_request`` puts the connection on a queue of at most
-    ``queue_size``, waiting while it is full, and starts a worker
-    (``plantkb-worker-<n>``) when no worker is free and fewer than
-    ``threads`` exist.  ``server_close`` closes the connections still queued
-    unanswered and stops each worker once its connection ends.
+    """Serves each connection on one of at most ``threads`` reused daemon
+    threads.  ``process_request`` queues it, waiting while ``queue_size``
+    wait already; ``server_close`` closes the queued ones unanswered and
+    stops each worker once its connection ends.
     """
 
     def __init__(self, address: tuple[str, int], handler: type, threads: int, queue_size: int) -> None:
@@ -129,16 +124,14 @@ class PooledHTTPServer(ThreadingHTTPServer):
         self._connections: queue.Queue = queue.Queue(queue_size)
         self._pool_size = threads  # ThreadingMixIn names its own _threads
         self._started = 0
-        self._spare = 0  # workers not serving a connection, less the connections queued for them
-        self._lock = threading.Lock()
+        # one permit per connection a worker has finished, taken by the next
+        # connection; so a connection that finds none starts a worker
+        self._free = threading.Semaphore(0)
 
     def process_request(self, request, client_address) -> None:
-        with self._lock:
-            if self._spare <= 0 and self._started < self._pool_size:
-                self._started += 1
-                self._spare += 1
-                threading.Thread(target=self._work, name=f"plantkb-worker-{self._started}", daemon=True).start()
-            self._spare -= 1
+        if not self._free.acquire(blocking=False) and self._started < self._pool_size:
+            self._started += 1
+            threading.Thread(target=self._work, name=f"plantkb-worker-{self._started}", daemon=True).start()
         self._connections.put((request, client_address))
 
     def _work(self) -> None:
@@ -150,8 +143,7 @@ class PooledHTTPServer(ThreadingHTTPServer):
                 self.handle_error(*item)
             finally:
                 self.shutdown_request(item[0])
-            with self._lock:
-                self._spare += 1
+            self._free.release()
         self._connections.put(None)  # pass the stop on to the next worker
 
     def server_close(self) -> None:

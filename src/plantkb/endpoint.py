@@ -32,6 +32,11 @@ dropped for up to LINGER_S, so that the client can read it first.
 A connection that sends nothing for REQUEST_TIMEOUT_S (30 s) is closed; if it
 stalls inside a request body, it first gets 408 with Connection: close.
 
+Connections are served on at most SERVER_THREADS (32) reused worker threads,
+and wait for one in a queue of at most ACCEPT_QUEUE (64); while that is full
+the server accepts nothing and the kernel's listen backlog holds what comes.
+A keep-alive connection keeps its worker, an idle one up to REQUEST_TIMEOUT_S.
+
 The refusals the stdlib makes before a do_* method runs (a bad request line,
 414, 431, 501, 505) are plain text with an HTTP/1.1 status line and
 Connection: close, like every other refusal.  One empty line before a
@@ -67,8 +72,7 @@ DEFAULT_BIND = "127.0.0.1:3030"
 BIND_ENV_VAR = "PLANTKB_BIND"
 # a request body declared larger than this gets 413 and is never read
 MAX_BODY_BYTES = 1 << 20
-# the most worker threads a server serves connections on, and the most
-# accepted connections that wait for one (plantkb._http.PooledHTTPServer)
+# the most worker threads, and queued connections, a server has
 SERVER_THREADS = 32
 ACCEPT_QUEUE = 64
 # memory one server's answer cache may take (plantkb._http.AnswerCache), so
