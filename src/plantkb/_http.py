@@ -1,8 +1,9 @@
 """The endpoint's request handler, in a module of its own so that only a
 server loads the HTTP stack.
 
-Importing this module imports ``http.server``, ``socket`` and ``logging``,
-and with them ``socketserver``, ``http.client``, ``email`` and ``ssl``.
+Importing this module imports ``http.server``, ``socket``, ``queue`` and
+``logging``, and with them ``socketserver``, ``http.client``, ``email`` and
+``ssl``.
 :func:`plantkb.endpoint.make_server` imports it, and so does the first read of
 ``plantkb.endpoint._Handler``, which names the same class.
 :mod:`plantkb.endpoint` describes the routes and the rules every response
@@ -114,19 +115,16 @@ class AnswerCache:
 
 class PooledHTTPServer(ThreadingHTTPServer):
     """Serves each connection on one of at most ``threads`` reused daemon
-    threads.  ``process_request`` queues it, waiting while ``queue_size``
-    wait already; ``server_close`` closes the queued ones unanswered and
-    stops each worker once its connection ends.
-    """
+    threads; ``process_request`` waits while ``queue_size`` connections are
+    queued, and ``server_close`` closes those and stops the idle workers."""
 
     def __init__(self, address: tuple[str, int], handler: type, threads: int, queue_size: int) -> None:
-        super().__init__(address, handler)
+        # set before binding, since a failed bind calls server_close
         self._connections: queue.Queue = queue.Queue(queue_size)
-        self._pool_size = threads  # ThreadingMixIn names its own _threads
-        self._started = 0
-        # one permit per connection a worker has finished, taken by the next
-        # connection; so a connection that finds none starts a worker
+        self._pool_size, self._started = threads, 0  # ThreadingMixIn names its own _threads
+        # a permit per connection a worker finished; a connection finding none starts a worker
         self._free = threading.Semaphore(0)
+        super().__init__(address, handler)
 
     def process_request(self, request, client_address) -> None:
         if not self._free.acquire(blocking=False) and self._started < self._pool_size:

@@ -49,7 +49,7 @@ reading the request line to writing the body.
 This module imports no HTTP module and not ``logging``, so the commands that
 import it for its configuration load neither.  The request handler and the
 ``plantkb.endpoint`` logger live in :mod:`plantkb._http`, which imports
-``http.server``, ``socket`` and ``logging``;
+``http.server``, ``socket``, ``queue`` and ``logging``;
 :func:`make_server` imports it, and ``plantkb.endpoint._Handler`` names the
 same class, loaded on first use.
 """

@@ -3,6 +3,8 @@
 import http.client
 import json
 import logging
+import os
+import signal
 import socket
 import subprocess
 import sys
@@ -83,7 +85,7 @@ def test_load_dataset_materializes_when_asked():
 
 # -- the HTTP stack loads with a server --------------------------------------------
 
-HTTP_STACK = ("http.server", "socketserver", "http.client", "email", "ssl", "socket")
+HTTP_STACK = ("http.server", "socketserver", "http.client", "email", "ssl", "socket", "queue")
 # what building records as dataclasses, logging and the bundled-file reader load
 CODEGEN_LOGGING_RESOURCES = ("dataclasses", "inspect", "ast", "dis", "logging", "traceback",
                              "importlib.resources", "pathlib", "zipfile", "tempfile", "shutil")
@@ -228,6 +230,15 @@ def test_get_and_both_post_encodings_agree(server):
 def test_post_without_content_type_reads_raw_body(server):
     status, _, body = request(server, "POST", "/sparql",
                               body=SUBCLASS_QUERY.encode("utf-8"))
+    assert status == 200
+    assert body == expected_json_body(SUBCLASS_QUERY)
+
+
+def test_post_with_another_media_type_reads_raw_body(server):
+    # SPARQL 1.1 Protocol, section 2.1.3 names application/sparql-query for a
+    # direct POST; any other type but a form is read as the query too
+    status, _, body = request(server, "POST", "/sparql", body=SUBCLASS_QUERY.encode("utf-8"),
+                              headers={"Content-Type": "application/sparql-update"})
     assert status == 200
     assert body == expected_json_body(SUBCLASS_QUERY)
 
@@ -824,3 +835,125 @@ def test_concurrent_requests_all_get_the_uncached_answer(calls):
     assert all(status == 200 and body == expected[query] for query, (status, _, body) in outcomes)
     assert calls["evaluate"] == calls["serialize_results"] >= 3 and len(cache.entries) == 3
     assert cache.size == sum(entry_cost(query, answer[1]) for (query, _), (answer, _) in cache.entries.items())
+
+
+# -- worker pool -----------------------------------------------------------------
+
+
+def new_threads(before):
+    return sorted(t.name for t in threading.enumerate() if t not in before)
+
+
+def wait_for(condition, seconds):
+    deadline = time.monotonic() + seconds
+    while not condition() and time.monotonic() < deadline:
+        time.sleep(0.02)
+    return condition()
+
+
+def read_health(sock):
+    reply = b""
+    while not reply.endswith(b"\r\n\r\nok"):
+        chunk = sock.recv(65536)
+        assert chunk, reply
+        reply += chunk
+    assert reply.startswith(b"HTTP/1.1 200 ")
+
+
+HEALTH = b"GET /health HTTP/1.1\r\nHost: test\r\n\r\n"
+
+
+@pytest.fixture
+def small_pool(monkeypatch):
+    """A server with 2 workers and room for 1 waiting connection, serving on a
+    thread of its own; yields the server and the threads that ran before it."""
+    monkeypatch.setattr(plantkb.endpoint, "SERVER_THREADS", 2)
+    monkeypatch.setattr(plantkb.endpoint, "ACCEPT_QUEUE", 1)
+    srv = make_server(DatasetConfig(source_path=CLEAN, bind_address="127.0.0.1:0"))
+    serving_thread = threading.Thread(target=srv.serve_forever, daemon=True)
+    before = {*threading.enumerate(), serving_thread}
+    serving_thread.start()
+    yield srv, before
+    srv.shutdown()
+    srv.server_close()
+
+
+def test_held_connections_wait_for_one_of_the_pool_workers(small_pool):
+    srv, before = small_pool
+    workers = ["plantkb-worker-1", "plantkb-worker-2"]
+    held = [socket.create_connection(srv.server_address, timeout=5) for _ in range(4)]
+    try:
+        # the first two connections hold both workers; the third waits in the
+        # queue and the fourth in process_request
+        assert wait_for(lambda: len(new_threads(before)) >= 2, 2.0)
+        time.sleep(0.3)
+        assert new_threads(before) == workers  # a thread per connection would make 4
+        for sock in held[2:]:
+            sock.sendall(HEALTH)
+            sock.settimeout(0.3)
+            with pytest.raises(TimeoutError):
+                sock.recv(1)
+        for closing, waiting in zip(held[:2], held[2:]):
+            closing.close()
+            waiting.settimeout(2.0)
+            read_health(waiting)
+        assert new_threads(before) == workers
+    finally:
+        for sock in held:
+            sock.close()
+
+
+def test_server_close_stops_every_worker_once_its_connection_ends(small_pool):
+    srv, before = small_pool
+    busy, done = (socket.create_connection(srv.server_address, timeout=5) for _ in range(2))
+    with busy, done:
+        for sock in (busy, done):
+            sock.sendall(HEALTH)
+            read_health(sock)
+        assert new_threads(before) == ["plantkb-worker-1", "plantkb-worker-2"]
+        done.close()
+        srv.shutdown()
+        srv.server_close()
+        # the idle worker stops; the one reading the open connection stays
+        assert wait_for(lambda: len(new_threads(before)) == 1, 1.0), new_threads(before)
+    assert wait_for(lambda: new_threads(before) == [], 1.0), new_threads(before)
+
+
+def test_a_burst_of_fresh_connections_is_answered_by_the_pool(monkeypatch):
+    # eight clients on four workers and a queue of two: each connection is
+    # handed over once and answered once, and no fifth worker starts
+    monkeypatch.setattr(plantkb.endpoint, "SERVER_THREADS", 4)
+    monkeypatch.setattr(plantkb.endpoint, "ACCEPT_QUEUE", 2)
+    before = set(threading.enumerate())
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, so that a lost hand-off would show
+    try:
+        with serving(materialize_on_load=False) as (served, _):
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                outcomes = list(pool.map(lambda _: request(served, "GET", "/health")[::2], range(64)))
+            workers = [name for name in new_threads(before) if name.startswith("plantkb-worker-")]
+    finally:
+        sys.setswitchinterval(interval)
+    assert outcomes == [(200, b"ok")] * 64
+    assert 1 <= len(workers) <= 4
+
+
+def test_sigint_ends_serve_with_a_keep_alive_connection_idle():
+    # the workers are daemon threads, so an idle connection does not hold the
+    # process open for REQUEST_TIMEOUT_S
+    src = str(Path(plantkb.__file__).resolve().parent.parent)
+    proc = subprocess.Popen([sys.executable, "-m", "plantkb.cli", "serve", CLEAN, "--bind", "127.0.0.1:0"],
+                            env={**os.environ, "PYTHONPATH": src}, stderr=subprocess.PIPE, text=True)
+    try:
+        while "serving" not in (line := proc.stderr.readline()):
+            assert line, "serve exited before serving"
+        port = int(line.rsplit(":", 1)[1])
+        with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
+            sock.sendall(HEALTH)
+            read_health(sock)
+            proc.send_signal(signal.SIGINT)
+            assert proc.wait(timeout=2) == 0
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()

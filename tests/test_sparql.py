@@ -235,6 +235,24 @@ def test_order_by_puts_iris_before_blank_nodes():
         "v\r\ntext\r\nhttp://example.test/q#z\r\n_:a\r\n_:b\r\n")
 
 
+def test_order_by_ties_integers_past_float_range_and_keeps_store_order():
+    # SPARQL 1.1 Query, section 17.3 orders 10^5000 before 2x10^5000; the key
+    # is a float, so the two tie (docs/semantics.md)
+    values = ["2" + "0" * 5000, "1" + "0" * 5000]
+    for order in (values, values[::-1]):
+        g = build(*(Triple(iri(f"s{i}"), iri("v"), Literal(v, XSD_INTEGER)) for i, v in enumerate(order)))
+        for condition in ("?v", "DESC(?v)"):
+            rows = rows_of(f"SELECT ?s ?v WHERE {{ ?s <{EX}v> ?v }} ORDER BY {condition}", g)
+            assert [r["v"].lexical for r in rows] == order
+
+
+def test_a_list_of_order_conditions_is_a_parse_error():
+    # SPARQL 1.1 Query, section 15.1 allows a list; the subset takes one (docs/semantics.md)
+    with pytest.raises(ParseError) as exc:
+        parse_query("SELECT ?s ?o WHERE { ?s ?p ?o } ORDER BY ?s ?o")
+    assert str(exc.value) == "line 1, column 45: trailing content after query (near '?o')"
+
+
 def test_limit_is_a_prefix_of_the_full_result():
     g = fixture_graph("arabidopsis")
     base = "PREFIX owl: <http://www.w3.org/2002/07/owl#> SELECT ?c WHERE { ?c a owl:Class } ORDER BY ?c"
