@@ -5,7 +5,9 @@ A record class names its fields, in order, as both ``__slots__`` and
 :meth:`Record.__init__`.  A :class:`Record` compares field-wise, prints the
 ``repr`` a dataclass prints, copies and pickles through its constructor, and
 is unhashable; a :class:`FrozenRecord` also hashes its field tuple and
-refuses assignment.
+refuses assignment.  A :class:`HashedRecord`, for the RDF terms and triples
+that are hashed far more often than built, has its ``__init__`` store that
+hash once, in ``_hash``, and compares the hashes before the fields.
 """
 
 from __future__ import annotations
@@ -47,3 +49,17 @@ class FrozenRecord(Record):
 
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
+
+
+class HashedRecord(FrozenRecord):
+    __slots__ = ("_hash",)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or (
+            self._hash == other._hash and self._fields() == other._fields()  # type: ignore[attr-defined]
+        )

@@ -5,18 +5,18 @@ A term is exactly one of :class:`Iri`, :class:`BlankNode`, or
 sets and serve as dictionary keys.  :class:`Var` is not an RDF term; it is a
 named placeholder used inside :class:`TriplePattern` by the query layer.
 
-These are plain slotted classes, not dataclasses.  A term or :class:`Triple`
-keeps the hash of its field tuple, ``hash((value,))`` for an IRI, from when
-it is built.
+These are slotted records, not dataclasses.  A term or :class:`Triple` is a
+``HashedRecord``: its ``__init__`` checks its fields and stores the hash of
+their tuple, ``hash((value,))`` for an IRI.
 """
 
 from __future__ import annotations
 
 import re
 from decimal import Decimal, InvalidOperation
-from typing import Any, Union
+from typing import Union
 
-from ._record import FrozenRecord
+from ._record import FrozenRecord, HashedRecord
 from .errors import MalformedTripleError
 
 _IRI_FORBIDDEN = re.compile(r'[\s<>"]')
@@ -30,11 +30,10 @@ RDFS = "http://www.w3.org/2000/01/rdf-schema#"
 OWL = "http://www.w3.org/2002/07/owl#"
 
 
-class Iri(FrozenRecord):
+class Iri(HashedRecord):
     """An absolute IRI, compared as raw text (no normalization)."""
 
-    __slots__ = ("value", "_hash")
-    __match_args__ = ("value",)
+    __slots__ = __match_args__ = ("value",)
     value: str
 
     def __init__(self, value: str):
@@ -44,12 +43,6 @@ class Iri(FrozenRecord):
             raise ValueError(f"IRI contains whitespace, quote, or angle bracket: {value!r}")
         _set(self, "value", value)
         _set(self, "_hash", hash((value,)))
-
-    def __eq__(self, other: Any) -> bool:
-        return self.value == other.value if other.__class__ is Iri else NotImplemented
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def local_name(self) -> str:
         """Fragment after the last '#' or '/', or the whole IRI if neither occurs."""
@@ -89,11 +82,10 @@ _INTEGER_SHAPE = re.compile(r"[+-]?[0-9]+")
 _DECIMAL_SHAPE = re.compile(r"[+-]?(?:[0-9]+\.[0-9]*|\.?[0-9]+)")
 
 
-class BlankNode(FrozenRecord):
+class BlankNode(HashedRecord):
     """An anonymous node whose label is meaningful within one graph only."""
 
-    __slots__ = ("label", "_hash")
-    __match_args__ = ("label",)
+    __slots__ = __match_args__ = ("label",)
     label: str
 
     def __init__(self, label: str):
@@ -102,25 +94,18 @@ class BlankNode(FrozenRecord):
         _set(self, "label", label)
         _set(self, "_hash", hash((label,)))
 
-    def __eq__(self, other: Any) -> bool:
-        return self.label == other.label if other.__class__ is BlankNode else NotImplemented
-
-    def __hash__(self) -> int:
-        return self._hash
-
     def __repr__(self) -> str:
         return f"_:{self.label}"
 
 
-class Literal(FrozenRecord):
+class Literal(HashedRecord):
     """A data value: lexical form plus datatype, with an optional language tag.
 
     Identity is the (lexical, datatype, language) triple, so "5"^^xsd:integer
     and "5"^^xsd:string are distinct terms.
     """
 
-    __slots__ = ("lexical", "datatype", "language", "_hash")
-    __match_args__ = ("lexical", "datatype", "language")
+    __slots__ = __match_args__ = ("lexical", "datatype", "language")
     lexical: str
     datatype: Iri
     language: str | None
@@ -146,14 +131,6 @@ class Literal(FrozenRecord):
         _set(self, "datatype", datatype)
         _set(self, "language", language)
         _set(self, "_hash", hash((lexical, datatype, language)))
-
-    def __eq__(self, other: Any) -> bool:
-        if other.__class__ is not Literal:
-            return NotImplemented
-        return (self.lexical, self.datatype, self.language) == (other.lexical, other.datatype, other.language)
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def numeric_value(self) -> int | Decimal | float | None:
         """Numeric interpretation, or None when this literal is not a number."""
@@ -202,11 +179,10 @@ class Var(FrozenRecord):
 PatternSlot = Union[Iri, BlankNode, Literal, Var, None]
 
 
-class Triple(FrozenRecord):
+class Triple(HashedRecord):
     """One subject-predicate-object statement."""
 
-    __slots__ = ("subject", "predicate", "object", "_hash")
-    __match_args__ = ("subject", "predicate", "object")
+    __slots__ = __match_args__ = ("subject", "predicate", "object")
     subject: Iri | BlankNode
     predicate: Iri
     object: Term
@@ -222,14 +198,6 @@ class Triple(FrozenRecord):
         _set(self, "predicate", predicate)
         _set(self, "object", object)
         _set(self, "_hash", hash((subject, predicate, object)))
-
-    def __eq__(self, other: Any) -> bool:
-        if other.__class__ is not Triple:
-            return NotImplemented
-        return (self.subject, self.predicate, self.object) == (other.subject, other.predicate, other.object)
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __repr__(self) -> str:
         return f"({self.subject!r} {self.predicate!r} {self.object!r})"
