@@ -130,7 +130,8 @@ class Literal(HashedRecord):
         _set(self, "lexical", lexical)
         _set(self, "datatype", datatype)
         _set(self, "language", language)
-        _set(self, "_hash", hash((lexical, datatype, language)))
+        # "" stands in for no language: CPython before 3.12 hashes None by its address
+        _set(self, "_hash", hash((lexical, datatype, language or "")))
 
     def numeric_value(self) -> int | Decimal | float | None:
         """Numeric interpretation, or None when this literal is not a number."""
