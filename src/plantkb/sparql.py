@@ -18,12 +18,13 @@ of the store per row it pulls from the step before.  Each FILTER runs at the
 step that first binds its variable, memoized per term id.  A comparison
 applies its operator from one table, ``_COMPARE`` (SPARQL 1.1 section 17.3):
 numbers compare by value; otherwise ``=`` and ``!=`` compare terms and an
-ordering is false.  ORDER BY collects every row and sorts them stably under
-a total term order (numeric literals by value, then other literals, then
-IRIs, then blank nodes), with one key per distinct id.  Projection, DISTINCT
-(first occurrences of the projected ids) and OFFSET/LIMIT follow in that
-order and stream, so rows are pulled only as far as the answer needs, and
-only the rows that survive are decoded into terms.
+ordering is false, and NaN equals nothing, itself included.  ORDER BY
+collects every row and sorts them stably under a total term order (numeric
+literals by value, then other literals, then IRIs, then blank nodes), with
+one key per distinct id.  Projection, DISTINCT (first occurrences of the
+projected ids) and OFFSET/LIMIT follow in that order and stream, so rows are
+pulled only as far as the answer needs, and only the rows that survive are
+decoded into terms.
 
 Result serialization: W3C SPARQL 1.1 JSON results and RFC-4180 CSV.
 """
@@ -44,6 +45,8 @@ from .graph import Graph, PrefixMap
 from .lexer import Lexer, Token, TokenParser
 from .terms import (
     RDF_TYPE,
+    XSD_DOUBLE,
+    XSD_FLOAT,
     XSD_STRING,
     BlankNode,
     Iri,
@@ -269,7 +272,9 @@ def _passes(f: FilterExpr, value: Term) -> bool:
     left = value.numeric_value() if isinstance(value, Literal) else None
     right = f.right.numeric_value() if isinstance(f.right, Literal) else None
     if left is None or right is None:  # not both numbers: terms are (un)equal, never ordered
-        return f.op in ("=", "!=") and _COMPARE[f.op](value, f.right)
+        # but NaN, the one double or float with no value, equals nothing (op:numeric-equal)
+        equal = value == f.right and not (isinstance(value, Literal) and value.datatype in (XSD_DOUBLE, XSD_FLOAT))
+        return f.op in ("=", "!=") and equal == (f.op == "=")
     return _COMPARE[f.op](left, right)
 
 

@@ -19,6 +19,7 @@ from plantkb.terms import (
     Triple,
     Var,
     XSD_DECIMAL,
+    XSD_FLOAT,
     XSD_INTEGER,
 )
 
@@ -348,6 +349,26 @@ def test_each_comparison_agrees_with_the_oracle_on_every_pair_of_operand_kinds(o
         got = {r["s"] for r in rows_of(text, g)}
         want = {iri(f"s{i}") for i, v in enumerate(_OPERANDS) if oracles.filter_passes(op, v, const)}
         assert got == want, text
+
+
+def test_nan_equals_no_number_not_even_itself():
+    # SPARQL 1.1 Query §17.3 maps "A = B" on two numerics to
+    # "op:numeric-equal(A, B)" and "A != B" to "fn:not(op:numeric-equal(A, B))";
+    # XPath F&O 3.1 §4.3.1, op:numeric-equal: "NaN does not equal itself."
+    # An ordering (op:numeric-less-than, op:numeric-greater-than) with a NaN
+    # operand is false.
+    values = [Literal("NaN", _DOUBLE), Literal("NaN", XSD_FLOAT), Literal("2e0", _DOUBLE), Literal("5", XSD_INTEGER)]
+    g = build(*(Triple(iri(f"s{i}"), iri("p"), v) for i, v in enumerate(values)))
+    every = {iri(f"s{i}") for i in range(len(values))}
+    for nan in ('"NaN"^^<http://www.w3.org/2001/XMLSchema#double>',
+                '"NaN"^^<http://www.w3.org/2001/XMLSchema#float>'):
+        def subjects(op):
+            return {r["s"] for r in rows_of(f"SELECT ?s WHERE {{ ?s <{EX}p> ?v FILTER(?v {op} {nan}) }}", g)}
+
+        assert subjects("=") == set()
+        assert subjects("!=") == every
+        for op in ("<", "<=", ">", ">="):
+            assert subjects(op) == set()
 
 
 @pytest.mark.parametrize("pattern", ["2", "^b$", "N", "o2", "b1", "."])
