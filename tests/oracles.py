@@ -199,8 +199,7 @@ def _num(term):
     if dt == _XSD + "decimal":
         return Decimal(term.lexical)
     if dt in (_XSD + "double", _XSD + "float"):
-        v = float(term.lexical)
-        return None if v != v else v
+        return float(term.lexical)  # NaN too, which equals no number, itself included
     return None
 
 
@@ -213,7 +212,7 @@ def filter_passes(op: str, value, rhs) -> bool:
     if op in ("=", "!="):
         equal = (lv == rv) if (lv is not None and rv is not None) else (value == rhs)
         return equal if op == "=" else not equal
-    if lv is None or rv is None:
+    if lv is None or rv is None or lv != lv or rv != rv:  # not both numbers, or a NaN
         return False
     if op == "<":
         return lv < rv
