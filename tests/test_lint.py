@@ -178,15 +178,8 @@ def test_reports_are_byte_identical_across_runs():
         )
 
 
-def test_store_reads_do_not_grow_with_the_individuals(monkeypatch):
-    calls = []
-    real = Graph.match_with_stats
-
-    def counting(self, pattern):
-        calls.append(pattern)
-        return real(self, pattern)
-
-    monkeypatch.setattr(Graph, "match_with_stats", counting)
+def test_store_reads_do_not_grow_with_the_individuals(counting):
+    calls = counting(Graph, "match_with_stats")
     per_size = []
     # n individuals, k classes and k - 3 properties: more individuals, then
     # more declarations

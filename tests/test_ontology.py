@@ -66,15 +66,8 @@ def _typed_individuals(n, k=4):
     return g
 
 
-def test_store_reads_do_not_grow_with_the_individuals(monkeypatch):
-    calls = []
-    real = Graph.match_with_stats
-
-    def counting(self, pattern):
-        calls.append(pattern)
-        return real(self, pattern)
-
-    monkeypatch.setattr(Graph, "match_with_stats", counting)
+def test_store_reads_do_not_grow_with_the_individuals(counting):
+    calls = counting(Graph, "match_with_stats")
     readers = (
         extract_ontology,
         lambda g: to_dot(g, mode="classes"),

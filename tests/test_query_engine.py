@@ -116,25 +116,12 @@ def test_row_order_of_500_chain_joins_is_pinned():
 # -- store reads ---------------------------------------------------------------
 
 
-def _count_reads(monkeypatch) -> list:
-    """The arguments of every ``Graph.match_ids`` call from here on."""
-    reads = []
-    real = Graph.match_ids
-
-    def counting(self, *args, **kwargs):
-        reads.append(args)
-        return real(self, *args, **kwargs)
-
-    monkeypatch.setattr(Graph, "match_ids", counting)
-    return reads
-
-
-def test_filter_runs_at_the_step_that_binds_its_variable(monkeypatch):
+def test_filter_runs_at_the_step_that_binds_its_variable(counting):
     part, score = Iri(EX + "hasPart"), Iri(EX + "score")
     triples = [Triple(Iri(f"{EX}n{i}"), score, Literal(str(i), XSD_INTEGER)) for i in range(30)]
     triples += [Triple(Iri(f"{EX}w{i}"), part, Iri(f"{EX}n{i % 30}")) for i in range(60)]
     g = build(triples)
-    reads = _count_reads(monkeypatch)
+    reads = counting(Graph, "match_ids")
     rows = evaluate(parse_query(
         f"SELECT ?x ?s WHERE {{ ?x <{part.value}> ?y . ?y <{score.value}> ?s FILTER(?s > 20) }}"
     ), g).rows
@@ -151,10 +138,10 @@ def _served_arabidopsis() -> Graph:
     return g.snapshot()
 
 
-def test_limit_stops_the_join_at_the_rows_it_needs(monkeypatch):
+def test_limit_stops_the_join_at_the_rows_it_needs(counting):
     g = _served_arabidopsis()
     assert len(g) == 133
-    reads = _count_reads(monkeypatch)
+    reads = counting(Graph, "match_ids")
     # the first row of each step's first read is enough: one read per step,
     # where building every row reads 1 + 133 + 133 * 133 = 17,823 times
     rows = evaluate(parse_query("SELECT * WHERE { ?a ?b ?c . ?d ?e ?f . ?g ?h ?i } LIMIT 1"), g).rows

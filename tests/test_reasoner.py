@@ -246,15 +246,8 @@ def test_random_graphs_match_closure_oracle():
         assert sum(res.rule_counts.values()) == len(res.added)
 
 
-def test_store_reads_per_sweep_do_not_grow_with_the_data(monkeypatch):
-    calls = []
-    real = Graph.match_with_stats
-
-    def counting(self, pattern):
-        calls.append(pattern)
-        return real(self, pattern)
-
-    monkeypatch.setattr(Graph, "match_with_stats", counting)
+def test_store_reads_per_sweep_do_not_grow_with_the_data(counting):
+    calls = counting(Graph, "match_with_stats")
     per_size = []
     for n in (10, 200):
         chain = [iri(f"C{i}") for i in range(4)]
