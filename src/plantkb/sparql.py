@@ -15,16 +15,15 @@ pattern's constants alone, so it never depends on the rows), then query
 order; each variable gets a row slot and each constant is looked up once.  A
 row is a tuple of ids, and each step is a generator that reads one id range
 of the store per row it pulls from the step before.  Each FILTER runs at the
-step that first binds its variable, memoized per term id.  A comparison
-applies its operator from one table, ``_COMPARE`` (SPARQL 1.1 section 17.3):
-numbers compare by value; otherwise ``=`` and ``!=`` compare terms and an
-ordering is false, and NaN equals nothing, itself included.  ORDER BY
-collects every row and sorts them stably under a total term order (numeric
-literals by value, then other literals, then IRIs, then blank nodes), with
-one key per distinct id.  Projection, DISTINCT (first occurrences of the
-projected ids) and OFFSET/LIMIT follow in that order and stream, so rows are
-pulled only as far as the answer needs, and only the rows that survive are
-decoded into terms.
+step that first binds its variable, memoized per term id.  Two numbers
+compare by value, under the operator ``_COMPARE`` gives (SPARQL 1.1 section
+17.3); otherwise ``=`` and ``!=`` compare terms, NaN equals nothing, itself
+included, and an ordering is false.  ORDER BY collects every row and sorts
+them stably under a total term order (numeric literals by value, then other
+literals, then IRIs, then blank nodes), with one key per distinct id.
+Projection, DISTINCT (first occurrences of the projected ids) and
+OFFSET/LIMIT follow in that order and stream, so rows are pulled only as far
+as the answer needs, and only the rows that survive are decoded into terms.
 
 Result serialization: W3C SPARQL 1.1 JSON results and RFC-4180 CSV.
 """
